@@ -6,9 +6,6 @@
 
 #include "persist/Checkpoint.h"
 
-#include "persist/Bytes.h"
-#include "persist/Crc32.h"
-
 #include <utility>
 
 using namespace regmon::persist;
@@ -60,7 +57,7 @@ bool CheckpointManager::commitSnapshot(std::span<const std::uint8_t> Encoded,
   }
   // Step 2: demote the current snapshot to the fallback rung. A crash
   // after this leaves no snapshot.bin; recovery falls to prev + journal.
-  if (fileExists(snapshotPath()) &&
+  if (fileSize(snapshotPath()) &&
       !renameFile(snapshotPath(), prevSnapshotPath(), Injected)) {
     noteCommitFailure(CompactThroughSeq);
     return false;
@@ -85,34 +82,34 @@ bool CheckpointManager::commitSnapshot(std::span<const std::uint8_t> Encoded,
 }
 
 bool CheckpointManager::compactJournal(std::uint64_t ThroughSeq) {
-  struct Kept {
-    std::uint64_t Seq;
-    std::vector<std::uint8_t> Payload;
-  };
-  std::vector<Kept> Records;
-  const JournalResult Scan = replayJournal(
-      journalPath(), ThroughSeq,
-      [&Records](std::uint64_t Seq, std::span<const std::uint8_t> Payload) {
-        Records.push_back(
-            {Seq, std::vector<std::uint8_t>(Payload.begin(), Payload.end())});
-        return true;
-      });
-  if (Scan.Missing)
+  const auto Bytes = readFileBytes(journalPath());
+  if (!Bytes)
     return true;
-
-  ByteWriter W;
-  W.u32(JournalMagic);
-  W.u32(JournalVersion);
-  for (const Kept &Rec : Records) {
-    W.u64(Rec.Seq);
-    W.u32(static_cast<std::uint32_t>(Rec.Payload.size()));
-    W.u32(journalRecordCrc(Rec.Seq, Rec.Payload));
-    W.bytes(Rec.Payload);
-  }
+  // Offset of the first record past ThroughSeq. Sequence numbers strictly
+  // increase, so everything from there to the end of the valid prefix is
+  // the kept suffix: already framed and CRC'd, copied as is.
+  std::uint64_t KeepFrom = 0;
+  const LogScan Scan =
+      scanLog(*Bytes, JournalFormat, [&](const LogRecord &Rec) {
+        if (Rec.Kind != JournalBatchKind)
+          return RecordVerdict::Unknown;
+        if (KeepFrom == 0 && Rec.Seq > ThroughSeq)
+          KeepFrom = Rec.Offset;
+        return RecordVerdict::Accept;
+      });
+  if (Scan.refused())
+    return false; // never rewrite bytes this build cannot read
+  if (KeepFrom == 0)
+    KeepFrom = Scan.ValidBytes;
+  ByteWriter Header;
+  encodeLogHeader(Header, JournalFormat);
+  const std::span<const std::uint8_t> Kept =
+      std::span<const std::uint8_t>(*Bytes).subspan(
+          KeepFrom, Scan.ValidBytes - KeepFrom);
   const std::string Tmp = Root + "/journal.tmp";
   {
     FileSink Sink(Tmp, /*Append=*/false, Injected);
-    if (!Sink.write(W.data()) || !Sink.close())
+    if (!Sink.write(Header.data()) || !Sink.write(Kept) || !Sink.close())
       return false;
   }
   return renameFile(Tmp, journalPath(), Injected);
@@ -169,41 +166,56 @@ bool CheckpointManager::appendJournal(std::uint64_t Seq,
                                       std::span<const std::uint8_t> Payload) {
   if (!Valid)
     return false;
-  if (!Writer.ok() && !Writer.open(journalPath(), Injected))
+  if (!Writer.ok() && !Writer.open(journalPath(), JournalFormat, Injected))
     return false;
-  return Writer.append(Seq, Payload);
+  return Writer.append(Seq, JournalBatchKind, Payload);
 }
 
-JournalResult CheckpointManager::replayAndRepair(
-    std::uint64_t SkipThroughSeq,
-    const std::function<bool(std::uint64_t, std::span<const std::uint8_t>)>
-        &Replay) {
-  Writer.close();
-  JournalResult Res = replayJournal(journalPath(), SkipThroughSeq, Replay);
-  Counters.JournalRecordsReplayed += Res.RecordsReplayed;
-  Counters.JournalRecordsSkipped += Res.RecordsSkipped;
+JournalResult
+CheckpointManager::replayAndRepair(std::uint64_t SkipThroughSeq,
+                                   const JournalReplayFn &Replay) {
+  (void)Writer.close();
+  std::uint64_t Replayed = 0;
+  std::uint64_t Skipped = 0;
+  const LogScan Scan =
+      scanLogFile(journalPath(), JournalFormat, [&](const LogRecord &Rec) {
+        if (Rec.Kind != JournalBatchKind)
+          return RecordVerdict::Unknown;
+        if (Rec.Seq <= SkipThroughSeq) {
+          ++Skipped;
+          return RecordVerdict::Accept;
+        }
+        const RecordVerdict V = Replay(Rec.Seq, Rec.Payload);
+        if (V == RecordVerdict::Accept)
+          ++Replayed;
+        return V;
+      });
+  const JournalResult Res{Scan, Replayed, Skipped};
+  Counters.JournalRecordsReplayed += Replayed;
+  Counters.JournalRecordsSkipped += Skipped;
   if (Obs) {
-    obs::addTo(Obs->JournalRecordsReplayed, Res.RecordsReplayed);
-    obs::addTo(Obs->JournalRecordsSkipped, Res.RecordsSkipped);
+    obs::addTo(Obs->JournalRecordsReplayed, Replayed);
+    obs::addTo(Obs->JournalRecordsSkipped, Skipped);
     if (!Res.Missing)
       obs::recordEvent(Obs->Tracer, obs::EventKind::JournalReplayed,
                        Obs->Stream, 0, SkipThroughSeq,
-                       static_cast<double>(Res.RecordsReplayed));
+                       static_cast<double>(Replayed));
   }
-  if (Res.Missing)
-    return Res;
-  if (Res.TornTail || Res.HeaderCorrupt) {
+  // A torn tail is cut so new records extend a well-formed journal (an
+  // empty file gets a fresh header on the next append); bytes this build
+  // cannot apply are someone else's acknowledged records, never cut.
+  const RepairOutcome Repair = repairLog(journalPath(), Res, nullptr);
+  if (Repair == RepairOutcome::Refused)
+    ++Counters.JournalRefusals;
+  if (Repair == RepairOutcome::Repaired || Repair == RepairOutcome::Failed) {
     ++Counters.JournalTornTails;
     if (Obs)
       obs::addTo(Obs->JournalTornTails);
-    // Cut the file back to its valid prefix (possibly zero bytes, in which
-    // case the next append rewrites the header) so new records extend a
-    // well-formed journal instead of hiding behind torn bytes.
-    if (truncateFile(journalPath(), Res.ValidBytes, nullptr)) {
-      ++Counters.JournalRepairs;
-      if (Obs)
-        obs::addTo(Obs->JournalRepairs);
-    }
+  }
+  if (Repair == RepairOutcome::Repaired) {
+    ++Counters.JournalRepairs;
+    if (Obs)
+      obs::addTo(Obs->JournalRepairs);
   }
   return Res;
 }

@@ -11,7 +11,8 @@
 ///     snapshot.bin        the newest committed snapshot
 ///     snapshot.prev.bin   the one before it (the fallback rung)
 ///     snapshot.tmp        in-flight commit scratch (ignored by recovery)
-///     journal.wal         write-ahead batch journal
+///     journal.wal         write-ahead batch journal ('RGWJ' v2 on the
+///                         shared record log, persist/RecordLog.h)
 ///
 /// Commit protocol (each step gated by the optional CrashPoint):
 ///
@@ -43,7 +44,7 @@
 #define REGMON_PERSIST_CHECKPOINT_H
 
 #include "obs/Instruments.h"
-#include "persist/Journal.h"
+#include "persist/RecordLog.h"
 #include "persist/Snapshot.h"
 
 #include <cstdint>
@@ -53,6 +54,28 @@
 #include <vector>
 
 namespace regmon::persist {
+
+/// The journal's framing: 'RGWJ' (little-endian) version 2. Version 1
+/// journals predate the shared record log (no kind byte) and are refused.
+inline constexpr LogFormat JournalFormat{0x4A574752U, 2};
+/// The journal's one record kind: a batch (service::encodeBatch).
+inline constexpr std::uint8_t JournalBatchKind = 1;
+
+/// Outcome of replaying the journal: the scan's diagnosis plus what the
+/// skip threshold did with the valid prefix.
+struct JournalResult : LogScan {
+  /// Records delivered to the replay callback and accepted.
+  std::uint64_t RecordsReplayed = 0;
+  /// Records skipped because their sequence number was at or below the
+  /// caller's skip threshold (already covered by the snapshot).
+  std::uint64_t RecordsSkipped = 0;
+};
+
+/// Applies one journaled payload. Malformed ends the replay and the tail
+/// from that record on is repaired away; Unknown (a valid record this
+/// owner cannot apply) ends it with the file left untouched.
+using JournalReplayFn = std::function<RecordVerdict(
+    std::uint64_t Seq, std::span<const std::uint8_t> Payload)>;
 
 /// Counters describing every recovery decision ever taken by one manager.
 /// The fuzz tests assert on these: a corrupted file must increment the
@@ -73,6 +96,9 @@ struct RecoveryCounters {
   std::uint64_t JournalTornTails = 0;
   /// Journal files truncated back to their valid prefix.
   std::uint64_t JournalRepairs = 0;
+  /// Journal replays stopped by bytes this build must not touch; the file
+  /// is left byte-identical.
+  std::uint64_t JournalRefusals = 0;
   /// Container error of the most recently rejected snapshot rung.
   SnapshotError LastError = SnapshotError::None;
 };
@@ -131,19 +157,20 @@ public:
   bool appendJournal(std::uint64_t Seq, std::span<const std::uint8_t> Payload);
 
   /// Replays the journal through \p Replay, skipping records at or below
-  /// \p SkipThroughSeq, then repairs any torn tail by truncating the file
-  /// to its valid prefix so future appends extend a well-formed journal.
-  JournalResult
-  replayAndRepair(std::uint64_t SkipThroughSeq,
-                  const std::function<bool(std::uint64_t,
-                                           std::span<const std::uint8_t>)>
-                      &Replay);
+  /// \p SkipThroughSeq, then applies the record log's repair policy
+  /// (\ref repairLog): a torn tail is truncated to the valid prefix so
+  /// future appends extend a well-formed journal; a refused scan leaves
+  /// the file untouched and is counted in JournalRefusals.
+  JournalResult replayAndRepair(std::uint64_t SkipThroughSeq,
+                                const JournalReplayFn &Replay);
 
   RecoveryCounters &counters() { return Counters; }
   const RecoveryCounters &counters() const { return Counters; }
 
 private:
   /// Rewrites the journal keeping only records with seq > \p ThroughSeq.
+  /// Records are strictly seq-ordered, so the kept records are a suffix,
+  /// copied byte for byte behind a fresh header.
   bool compactJournal(std::uint64_t ThroughSeq);
 
   /// Counts a failed commit in counters, metric, and event stream.
@@ -152,7 +179,7 @@ private:
   std::string Root;
   bool Valid = false;
   CrashPoint *Injected = nullptr;
-  JournalWriter Writer;
+  LogWriter Writer;
   RecoveryCounters Counters;
   const obs::PersistInstruments *Obs = nullptr;
 };

@@ -91,9 +91,13 @@ regmon::persist::readFileBytes(const std::string &Path) {
   return Data;
 }
 
-bool regmon::persist::fileExists(const std::string &Path) {
+std::optional<std::uint64_t>
+regmon::persist::fileSize(const std::string &Path) {
   std::error_code Ec;
-  return std::filesystem::exists(Path, Ec) && !Ec;
+  const auto Size = std::filesystem::file_size(Path, Ec);
+  if (Ec)
+    return std::nullopt;
+  return static_cast<std::uint64_t>(Size);
 }
 
 bool regmon::persist::renameFile(const std::string &From,

@@ -120,8 +120,9 @@ private:
 /// the two differently).
 std::optional<std::vector<std::uint8_t>> readFileBytes(const std::string &Path);
 
-/// True if \p Path exists (as any file type).
-bool fileExists(const std::string &Path);
+/// Size of \p Path in bytes; std::nullopt when it cannot be queried (a
+/// missing file).
+std::optional<std::uint64_t> fileSize(const std::string &Path);
 
 /// Renames \p From to \p To (atomic within a POSIX filesystem,
 /// overwriting \p To). Costs one CrashPoint unit; an injected crash leaves

@@ -34,12 +34,11 @@ std::uint64_t mix64(std::uint64_t X) {
 constexpr std::uint32_t MetaSectionId = 1;
 constexpr std::uint32_t StreamSectionId = 2;
 
-/// Wire size of one journaled sample: u64 pc + u64 time + u8 miss flag.
-constexpr std::uint64_t SampleWireBytes = 17;
+} // namespace
 
-/// Journal-record payload for one batch: the full submission, so replay
-/// can re-run admission + processing over the original byte stream.
-void encodeBatchPayload(persist::ByteWriter &W, const SampleBatch &Batch) {
+void regmon::service::encodeBatch(persist::ByteWriter &W,
+                                  const SampleBatch &Batch) {
+  W.reserve(W.size() + 12 + Batch.Samples.size() * SampleWireBytes);
   W.u32(Batch.Stream);
   W.u64(Batch.Samples.size());
   for (const Sample &S : Batch.Samples) {
@@ -49,7 +48,25 @@ void encodeBatchPayload(persist::ByteWriter &W, const SampleBatch &Batch) {
   }
 }
 
-} // namespace
+bool regmon::service::decodeBatch(persist::ByteReader &R,
+                                  SampleBatch &Batch) {
+  Batch.Stream = R.u32();
+  const std::uint64_t Count = R.u64();
+  // Validate the count against the bytes actually present before a
+  // single element is allocated: a hostile count can only fail cleanly.
+  if (!R.ok() || Count > R.remaining() / SampleWireBytes)
+    return false;
+  Batch.Samples.clear();
+  Batch.Samples.reserve(Count);
+  for (std::uint64_t I = 0; I < Count; ++I) {
+    Sample S;
+    S.Pc = R.u64();
+    S.Time = R.u64();
+    S.DCacheMiss = R.boolean();
+    Batch.Samples.push_back(S);
+  }
+  return R.atEnd();
+}
 
 const char *regmon::service::toString(RecordedFate F) {
   switch (F) {
@@ -207,7 +224,7 @@ bool MonitorService::submit(SampleBatch Batch) {
     bool Durable = !JournalDead;
     if (Durable) {
       persist::ByteWriter W;
-      encodeBatchPayload(W, Batch);
+      encodeBatch(W, Batch);
       Durable = Persist->appendJournal(JournalSeq + 1, W.data());
     }
     if (!Durable) {
@@ -619,7 +636,7 @@ bool MonitorService::applyRecorded(SampleBatch Batch, RecordedFate Fate,
     // before admission, so a replay that is itself persisted lands on
     // the same journal sequence (encodeState compares bit-identical).
     persist::ByteWriter W;
-    encodeBatchPayload(W, Batch);
+    encodeBatch(W, Batch);
     if (!Persist->appendJournal(JournalSeq + 1, W.data()))
       return false;
     ++JournalSeq;
@@ -842,36 +859,29 @@ void MonitorService::resetPersistedState() {
   SnapshotSeq = 0;
 }
 
-bool MonitorService::replayRecord(std::span<const std::uint8_t> Payload) {
+persist::RecordVerdict
+MonitorService::replayRecord(std::span<const std::uint8_t> Payload) {
   persist::ByteReader R(Payload);
   SampleBatch Batch;
-  Batch.Stream = R.u32();
-  const std::uint64_t Count = R.u64();
-  if (!R.ok() || Batch.Stream >= Streams.size() ||
-      Count > R.remaining() / SampleWireBytes)
-    return false;
-  Batch.Samples.reserve(Count);
-  for (std::uint64_t I = 0; I < Count; ++I) {
-    Sample S;
-    S.Pc = R.u64();
-    S.Time = R.u64();
-    S.DCacheMiss = R.boolean();
-    Batch.Samples.push_back(S);
-  }
-  if (!R.atEnd())
-    return false;
+  if (!decodeBatch(R, Batch))
+    return persist::RecordVerdict::Malformed;
+  // A well-formed batch for a stream this service does not have is
+  // acknowledged work it cannot apply, not damage: replay stops there
+  // and the record stays on disk for a service that has the stream.
+  if (Batch.Stream >= Streams.size())
+    return persist::RecordVerdict::Unknown;
   StreamState &St = *Streams[Batch.Stream];
   // The record is well-formed; from here on mirror submit()'s accepted
   // path exactly (health machine, then inline processing standing in for
   // the shard worker). A batch the health machine refuses was refused in
   // the original run too -- the refusal *is* the replayed behaviour.
   if (Config.ValidateBatches && !admit(St, structurallyValid(Batch.Samples)))
-    return true;
+    return persist::RecordVerdict::Accept;
   Batch.AdmitHealth = St.Health.load(std::memory_order_relaxed);
   Submitted.fetch_add(1, std::memory_order_relaxed);
   process(Batch);
   Shards[St.Shard]->BatchesProcessed.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  return persist::RecordVerdict::Accept;
 }
 
 RestoreOutcome MonitorService::restore() {
@@ -899,11 +909,15 @@ RestoreOutcome MonitorService::restore() {
   const persist::JournalResult JR = Persist->replayAndRepair(
       SnapshotSeq,
       [this](std::uint64_t Seq, std::span<const std::uint8_t> Payload) {
-        if (!replayRecord(Payload))
-          return false;
-        JournalSeq = Seq;
-        return true;
+        const persist::RecordVerdict V = replayRecord(Payload);
+        if (V == persist::RecordVerdict::Accept)
+          JournalSeq = Seq;
+        return V;
       });
+  // Appending behind records replay refused would bury them under new
+  // sequence numbers; refuse new work instead (submit's dead latch).
+  if (JR.refused())
+    JournalDead = true;
   if (Loaded)
     return JR.RecordsReplayed > 0 ? RestoreOutcome::SnapshotPlusJournal
                                   : RestoreOutcome::SnapshotOnly;

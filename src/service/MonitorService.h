@@ -49,7 +49,10 @@
 #include <vector>
 
 namespace regmon::persist {
+class ByteReader;
+class ByteWriter;
 class CheckpointManager;
+enum class RecordVerdict : std::uint8_t;
 struct SnapshotSection;
 } // namespace regmon::persist
 
@@ -78,6 +81,18 @@ struct SampleBatch {
   /// submit side has already raced ahead.
   StreamHealth AdmitHealth = StreamHealth::Healthy;
 };
+
+/// Wire size of one sample in the batch codec: u64 pc + u64 time + u8 miss.
+inline constexpr std::uint64_t SampleWireBytes = 17;
+
+/// The one sample-batch codec, for the journal's batch records and the
+/// trace's Batch records (after their fate byte). Little-endian:
+/// u32 stream | u64 count | count x (u64 pc | u64 time | u8 miss).
+void encodeBatch(persist::ByteWriter &W, const SampleBatch &Batch);
+
+/// Decodes one batch that runs to the end of \p R. Total: false on a
+/// hostile count, a short payload, a bad miss flag or trailing bytes.
+bool decodeBatch(persist::ByteReader &R, SampleBatch &Batch);
 
 /// The decision \ref MonitorService::submit took for one batch, as
 /// captured by an attached \ref BatchRecorder. Deterministic fates
@@ -369,7 +384,8 @@ public:
   /// beyond the loaded snapshot through the normal admission + processing
   /// path. Must run after every stream is registered and before \ref
   /// start. Safe on an empty or damaged directory -- corruption degrades
-  /// to a colder rung with the reason counted, it never crashes.
+  /// to a colder rung with the reason counted, it never crashes. Journal
+  /// records it cannot apply stay on disk and later submits are refused.
   RestoreOutcome restore();
 
   /// Commits a snapshot of the full service state and compacts the
@@ -498,8 +514,9 @@ private:
   void recordFate(SampleBatch &Batch, RecordedFate Fate);
 
   /// Re-applies one journaled batch through admission + processing.
-  /// False rejects the record as malformed (ends journal replay there).
-  bool replayRecord(std::span<const std::uint8_t> Payload);
+  /// Malformed and Unknown (a stream this service does not have) both end
+  /// journal replay there; only Malformed is repaired away.
+  persist::RecordVerdict replayRecord(std::span<const std::uint8_t> Payload);
   /// Decodes a loaded snapshot's sections into this service. False may
   /// leave the service partially written; the caller resets and retries
   /// the next rung.
@@ -541,9 +558,9 @@ private:
   /// Sequence covered by the on-disk snapshot.bin -- the replay skip
   /// threshold and the next checkpoint's journal-compaction bound.
   std::uint64_t SnapshotSeq = 0;
-  /// Latched on append failure: a batch that cannot be made durable is
-  /// refused rather than processed, so the journal never under-reports
-  /// acknowledged work.
+  /// Latched on append failure or a refused journal replay: a batch that
+  /// cannot be made durable is refused rather than processed, so the
+  /// journal never under-reports acknowledged work.
   bool JournalDead = false;
 
   // Flight recorder, inert until attachRecorder(). The mutex lives here

@@ -6,8 +6,6 @@
 
 #include "trace/Format.h"
 
-#include "persist/Crc32.h"
-
 using namespace regmon;
 using namespace regmon::trace;
 
@@ -27,34 +25,11 @@ const char *regmon::trace::toString(RecordKind K) {
   return "?";
 }
 
-std::uint32_t regmon::trace::traceRecordCrc(
-    std::uint64_t Seq, std::uint8_t Kind,
-    std::span<const std::uint8_t> Payload) {
-  persist::ByteWriter Header;
-  Header.u64(Seq);
-  Header.u8(Kind);
-  Header.u32(static_cast<std::uint32_t>(Payload.size()));
-  const std::uint32_t Seed = persist::crc32(Header.data());
-  return persist::crc32(Payload, Seed);
-}
-
-void regmon::trace::encodeTraceHeader(persist::ByteWriter &W) {
-  W.u32(TraceMagic);
-  W.u32(TraceVersion);
-}
-
 void regmon::trace::encodeBatchRecordPayload(persist::ByteWriter &W,
                                              const service::SampleBatch &Batch,
                                              service::RecordedFate Fate) {
-  W.reserve(W.size() + 13 + Batch.Samples.size() * TraceSampleWireBytes);
   W.u8(static_cast<std::uint8_t>(Fate));
-  W.u32(Batch.Stream);
-  W.u64(Batch.Samples.size());
-  for (const Sample &S : Batch.Samples) {
-    W.u64(S.Pc);
-    W.u64(S.Time);
-    W.boolean(S.DCacheMiss);
-  }
+  service::encodeBatch(W, Batch);
 }
 
 bool regmon::trace::decodeBatchRecordPayload(persist::ByteReader &R,
@@ -65,22 +40,7 @@ bool regmon::trace::decodeBatchRecordPayload(persist::ByteReader &R,
       RawFate > static_cast<std::uint8_t>(service::RecordedFate::Admitted))
     return false;
   Fate = static_cast<service::RecordedFate>(RawFate);
-  Batch.Stream = R.u32();
-  const std::uint64_t Count = R.u64();
-  // Validate the count against the bytes actually present before a
-  // single element is allocated: a hostile count can only fail cleanly.
-  if (!R.ok() || Count > R.remaining() / TraceSampleWireBytes)
-    return false;
-  Batch.Samples.clear();
-  Batch.Samples.reserve(Count);
-  for (std::uint64_t I = 0; I < Count; ++I) {
-    Sample S;
-    S.Pc = R.u64();
-    S.Time = R.u64();
-    S.DCacheMiss = R.boolean();
-    Batch.Samples.push_back(S);
-  }
-  return R.atEnd();
+  return service::decodeBatch(R, Batch);
 }
 
 void regmon::trace::encodeDropPayload(persist::ByteWriter &W,

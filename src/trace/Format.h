@@ -12,21 +12,18 @@
 ///     u32 magic 'RGTF'   u32 version
 ///     repeated records: [ u64 seq | u8 kind | u32 len | u32 crc | bytes ]
 ///
+/// The framing, flush-before-ack writer and repair policy are the shared
+/// record log's (persist/RecordLog.h), which the journal uses too.
 /// Sequence numbers are assigned consecutively from 1 across *all* record
-/// kinds -- the file order is the recorded decision order. The record CRC
-/// binds seq, kind and length together with the payload (the journal's
-/// idiom, persist/Journal.h), so a bit flip anywhere in a record is
-/// detected, never replayed with silently wrong framing. Each append is
-/// flushed before it is acknowledged; a crash mid-append leaves a torn
-/// tail the reader detects and the recorder repairs on reopen.
+/// kinds -- the file order is the recorded decision order.
 ///
 /// Record kinds and payloads (all little-endian, persist/Bytes.h):
 ///
 ///   Config (1)     opaque configuration fingerprint bytes
 ///                  (service::MonitorService::configFingerprint); replay
 ///                  byte-compares it against the replaying service.
-///   Batch (2)      u8 fate | u32 stream | u64 count
-///                  | count x (u64 pc | u64 time | u8 dcacheMiss)
+///   Batch (2)      u8 fate | batch (service::encodeBatch: u32 stream
+///                  | u64 count | count x (u64 pc | u64 time | u8 miss))
 ///                  -- one submitted batch plus the admission decision
 ///                  (service::RecordedFate) taken for it.
 ///   Drop (3)       u64 evictedSeq | u64 shard -- a DropOldest eviction
@@ -45,7 +42,7 @@
 #ifndef REGMON_TRACE_FORMAT_H
 #define REGMON_TRACE_FORMAT_H
 
-#include "persist/Bytes.h"
+#include "persist/RecordLog.h"
 #include "service/MonitorService.h"
 
 #include <cstdint>
@@ -53,16 +50,8 @@
 
 namespace regmon::trace {
 
-/// 'RGTF' in little-endian byte order.
-inline constexpr std::uint32_t TraceMagic = 0x46544752U;
-inline constexpr std::uint32_t TraceVersion = 1;
-
-/// Byte length of the file header (magic + version).
-inline constexpr std::uint64_t TraceHeaderBytes = 8;
-/// Byte length of one record header (seq + kind + len + crc).
-inline constexpr std::uint64_t TraceRecordHeaderBytes = 17;
-/// Wire size of one sample inside a Batch payload.
-inline constexpr std::uint64_t TraceSampleWireBytes = 17;
+/// The trace's framing: 'RGTF' (little-endian) version 1.
+inline constexpr persist::LogFormat TraceFormat{0x46544752U, 1};
 
 /// What one trace record captures. Values are part of the wire format.
 enum class RecordKind : std::uint8_t {
@@ -76,23 +65,13 @@ enum class RecordKind : std::uint8_t {
 /// Returns a short identifier for reports.
 const char *toString(RecordKind K);
 
-/// The CRC stored in a trace record: seq, kind and length chained with
-/// the payload, so header corruption is as detectable as payload
-/// corruption. Shared by the recorder and the scanner.
-std::uint32_t traceRecordCrc(std::uint64_t Seq, std::uint8_t Kind,
-                             std::span<const std::uint8_t> Payload);
-
-/// Appends the file header (magic + version) to \p W.
-void encodeTraceHeader(persist::ByteWriter &W);
-
-/// Appends a Batch payload: the fate, then the batch bytes in the
-/// journal's sample encoding.
+/// Appends a Batch payload: the fate, then \ref service::encodeBatch.
 void encodeBatchRecordPayload(persist::ByteWriter &W,
                               const service::SampleBatch &Batch,
                               service::RecordedFate Fate);
 
 /// Decodes a Batch payload. False on any structural violation (bad fate,
-/// hostile count, short payload, trailing bytes); \p Batch may be
+/// or anything \ref service::decodeBatch refuses); \p Batch may be
 /// partially written then. TraceSeq is left for the caller to stamp.
 bool decodeBatchRecordPayload(persist::ByteReader &R,
                               service::SampleBatch &Batch,

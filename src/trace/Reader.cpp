@@ -6,130 +6,74 @@
 
 #include "trace/Reader.h"
 
-#include "persist/Io.h"
-
 using namespace regmon;
 using namespace regmon::trace;
 
 namespace {
 
-enum class BodyDecode : std::uint8_t { Ok, Unknown, Malformed };
+using persist::RecordVerdict;
 
 /// Decodes one CRC-valid record body into \p Out. Total: hostile bytes
 /// can only produce Unknown or Malformed.
-BodyDecode decodeBody(std::uint64_t Seq, std::uint8_t RawKind,
-                      std::span<const std::uint8_t> Payload,
-                      TraceRecord &Out) {
-  Out.Seq = Seq;
-  persist::ByteReader R(Payload);
-  switch (RawKind) {
+RecordVerdict decodeBody(const persist::LogRecord &Rec, TraceRecord &Out) {
+  Out.Seq = Rec.Seq;
+  persist::ByteReader R(Rec.Payload);
+  switch (Rec.Kind) {
   case static_cast<std::uint8_t>(RecordKind::Config):
     Out.Kind = RecordKind::Config;
-    Out.Config.assign(Payload.begin(), Payload.end());
-    return BodyDecode::Ok;
+    Out.Config.assign(Rec.Payload.begin(), Rec.Payload.end());
+    return RecordVerdict::Accept;
   case static_cast<std::uint8_t>(RecordKind::Batch):
     Out.Kind = RecordKind::Batch;
     if (!decodeBatchRecordPayload(R, Out.Batch, Out.Fate))
-      return BodyDecode::Malformed;
-    Out.Batch.TraceSeq = Seq;
-    return BodyDecode::Ok;
+      return RecordVerdict::Malformed;
+    Out.Batch.TraceSeq = Rec.Seq;
+    return RecordVerdict::Accept;
   case static_cast<std::uint8_t>(RecordKind::Drop):
     Out.Kind = RecordKind::Drop;
-    if (!decodeDropPayload(R, Out.RefSeq, Out.Shard) || Out.RefSeq >= Seq)
-      return BodyDecode::Malformed;
-    return BodyDecode::Ok;
+    if (!decodeDropPayload(R, Out.RefSeq, Out.Shard) || Out.RefSeq >= Rec.Seq)
+      return RecordVerdict::Malformed;
+    return RecordVerdict::Accept;
   case static_cast<std::uint8_t>(RecordKind::PushReject):
     Out.Kind = RecordKind::PushReject;
-    if (!decodePushRejectPayload(R, Out.RefSeq) || Out.RefSeq >= Seq)
-      return BodyDecode::Malformed;
-    return BodyDecode::Ok;
+    if (!decodePushRejectPayload(R, Out.RefSeq) || Out.RefSeq >= Rec.Seq)
+      return RecordVerdict::Malformed;
+    return RecordVerdict::Accept;
   case static_cast<std::uint8_t>(RecordKind::Checkpoint):
     Out.Kind = RecordKind::Checkpoint;
     if (!decodeCheckpointPayload(R, Out.RefSeq, Out.Committed))
-      return BodyDecode::Malformed;
-    return BodyDecode::Ok;
+      return RecordVerdict::Malformed;
+    return RecordVerdict::Accept;
   default:
-    return BodyDecode::Unknown;
+    return RecordVerdict::Unknown;
   }
+}
+
+/// A visitor that decodes every record into \p Records, stopping at the
+/// first one it cannot decode.
+persist::RecordVisitor decodeInto(std::vector<TraceRecord> &Records) {
+  return [&Records](const persist::LogRecord &Rec) {
+    TraceRecord Decoded;
+    const RecordVerdict V = decodeBody(Rec, Decoded);
+    if (V == RecordVerdict::Accept)
+      Records.push_back(std::move(Decoded));
+    return V;
+  };
 }
 
 } // namespace
 
 ScanResult regmon::trace::scanTraceBytes(
     std::span<const std::uint8_t> Bytes) {
-  ScanResult Out;
-  Out.FileBytes = Bytes.size();
-  if (Bytes.empty())
-    return Out; // a fresh (never-opened) trace: intact and empty
-  if (Bytes.size() < TraceHeaderBytes) {
-    Out.HeaderTorn = true;
-    return Out;
-  }
-  {
-    persist::ByteReader H(Bytes.first(TraceHeaderBytes));
-    if (H.u32() != TraceMagic) {
-      Out.HeaderCorrupt = true;
-      return Out;
-    }
-    if (H.u32() != TraceVersion) {
-      Out.VersionSkew = true;
-      return Out;
-    }
-  }
-  Out.ValidBytes = TraceHeaderBytes;
-  std::uint64_t Pos = TraceHeaderBytes;
-  while (Pos < Bytes.size()) {
-    const std::uint64_t Left = Bytes.size() - Pos;
-    if (Left < TraceRecordHeaderBytes) {
-      Out.TornTail = true; // recorder died inside a record header
-      break;
-    }
-    persist::ByteReader R(Bytes.subspan(Pos, TraceRecordHeaderBytes));
-    const std::uint64_t Seq = R.u64();
-    const std::uint8_t RawKind = R.u8();
-    const std::uint32_t Len = R.u32();
-    const std::uint32_t Crc = R.u32();
-    // A hostile length is bounded against the bytes present before any
-    // use; a length past the end is indistinguishable from a torn
-    // payload and treated the same way.
-    if (Len > Left - TraceRecordHeaderBytes) {
-      Out.TornTail = true;
-      break;
-    }
-    const std::span<const std::uint8_t> Payload =
-        Bytes.subspan(Pos + TraceRecordHeaderBytes, Len);
-    if (Crc != traceRecordCrc(Seq, RawKind, Payload)) {
-      Out.TornTail = true;
-      break;
-    }
-    if (Seq <= Out.LastSeq) {
-      Out.TornTail = true; // sequence must strictly increase from 1
-      break;
-    }
-    TraceRecord Rec;
-    const BodyDecode D = decodeBody(Seq, RawKind, Payload, Rec);
-    if (D == BodyDecode::Unknown) {
-      Out.UnknownKind = true;
-      break;
-    }
-    if (D == BodyDecode::Malformed) {
-      Out.MalformedPayload = true;
-      break;
-    }
-    Out.Records.push_back(std::move(Rec));
-    Out.LastSeq = Seq;
-    Pos += TraceRecordHeaderBytes + Len;
-    Out.ValidBytes = Pos;
-  }
-  return Out;
+  std::vector<TraceRecord> Records;
+  const persist::LogScan Scan =
+      persist::scanLog(Bytes, TraceFormat, decodeInto(Records));
+  return {Scan, std::move(Records)};
 }
 
 ScanResult regmon::trace::scanTraceFile(const std::string &Path) {
-  const auto Bytes = persist::readFileBytes(Path);
-  if (!Bytes) {
-    ScanResult Out;
-    Out.Missing = true;
-    return Out;
-  }
-  return scanTraceBytes(*Bytes);
+  std::vector<TraceRecord> Records;
+  const persist::LogScan Scan =
+      persist::scanLogFile(Path, TraceFormat, decodeInto(Records));
+  return {Scan, std::move(Records)};
 }

@@ -10,9 +10,9 @@
 /// records plus a precise diagnosis of why the scan stopped. It is total
 /// -- every truncation, bit flip, version skew, hostile length and
 /// unknown kind yields flags on \ref ScanResult, never undefined
-/// behaviour -- and it trusts the longest valid prefix exactly like the
-/// journal replayer (persist/Journal.h): \ref ScanResult::ValidBytes is
-/// the repair point a recorder truncates to before appending again.
+/// behaviour. The framing, the longest-valid-prefix scan and the repair
+/// policy are the shared record log's (persist/RecordLog.h), the same the
+/// journal uses; this layer adds only the kind decode.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,48 +46,10 @@ struct TraceRecord {
   bool Committed = false;
 };
 
-/// Outcome of scanning trace bytes: the decoded valid prefix plus why the
-/// scan ended. At most one of the failure flags is set.
-struct ScanResult {
+/// Outcome of scanning trace bytes: the decoded valid prefix plus the
+/// record log's diagnosis of why the scan ended.
+struct ScanResult : persist::LogScan {
   std::vector<TraceRecord> Records;
-  /// Byte length of the valid prefix (file header included once it is
-  /// intact); the repair point.
-  std::uint64_t ValidBytes = 0;
-  /// Highest sequence number in the valid prefix.
-  std::uint64_t LastSeq = 0;
-  /// Total input length, so callers can tell "intact" from "repairable".
-  std::uint64_t FileBytes = 0;
-  /// A torn or corrupt record (short header, hostile length, CRC
-  /// mismatch, non-increasing seq) ended the scan. Repairable: truncate
-  /// to ValidBytes.
-  bool TornTail = false;
-  /// A CRC-valid record carried a kind this reader does not know. The
-  /// bytes are from a newer writer, not corruption: a recorder refuses
-  /// to repair (truncating would destroy someone else's valid data).
-  bool UnknownKind = false;
-  /// A CRC-valid record's payload failed structural decode (writer bug
-  /// or forged CRC). Repairable like a torn tail.
-  bool MalformedPayload = false;
-  /// Fewer than TraceHeaderBytes bytes: a recorder died inside the file
-  /// header. Repairable to an empty file (no record was ever valid).
-  bool HeaderTorn = false;
-  /// The magic is wrong: not a trace file. Never repaired.
-  bool HeaderCorrupt = false;
-  /// The version is not ours. Never repaired.
-  bool VersionSkew = false;
-  /// The file does not exist (scanTraceFile only).
-  bool Missing = false;
-
-  /// True when the input is a complete well-formed trace.
-  bool intact() const {
-    return !TornTail && !UnknownKind && !MalformedPayload && !HeaderTorn &&
-           !HeaderCorrupt && !VersionSkew && !Missing;
-  }
-  /// True when truncating to ValidBytes yields an intact trace (and a
-  /// recorder may then append to it).
-  bool repairable() const {
-    return !UnknownKind && !HeaderCorrupt && !VersionSkew && !Missing;
-  }
 };
 
 /// Scans \p Bytes. Total over arbitrary input.

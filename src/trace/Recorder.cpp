@@ -20,80 +20,44 @@ TraceRecorder::OpenResult TraceRecorder::open(const std::string &Path,
   BytesN = 0;
   FailuresN = 0;
   const ScanResult Scan = scanTraceFile(Path);
-  if (!Scan.repairable() && !Scan.Missing)
-    return Out; // foreign data (wrong magic/version/unknown kind)
-  const bool Fresh = Scan.Missing || Scan.FileBytes == 0 || Scan.HeaderTorn;
-  std::uint64_t Keep = Fresh ? 0 : Scan.ValidBytes;
-  if (!Scan.Missing && Keep != Scan.FileBytes) {
-    // Torn or malformed tail (or a header the recorder died inside):
-    // truncate to the valid prefix so appends extend a clean file.
-    if (!persist::truncateFile(Path, Keep, Crash))
-      return Out;
-    Out.Repaired = true;
-  }
-  Sink = std::make_unique<persist::FileSink>(Path, /*Append=*/Keep != 0,
-                                             Crash);
-  if (Keep == 0) {
-    persist::ByteWriter W;
-    encodeTraceHeader(W);
-    if (!Sink->write(W.data()) || !Sink->flush()) {
-      Sink.reset();
-      return Out;
-    }
-    BytesN += TraceHeaderBytes;
-    Keep = TraceHeaderBytes;
-    Out.Created = true;
-  } else if (!Sink->ok()) {
-    Sink.reset();
+  const persist::RepairOutcome Repair = persist::repairLog(Path, Scan, Crash);
+  if (Repair == persist::RepairOutcome::Refused || // foreign data
+      Repair == persist::RepairOutcome::Failed)
     return Out;
-  }
+  Out.Repaired = Repair == persist::RepairOutcome::Repaired;
+  // After repair the file holds exactly the valid prefix; an empty one
+  // (missing, never opened, or a torn header) gets a fresh header.
+  if (!Log.open(Path, TraceFormat, Crash))
+    return Out;
+  Out.Created = Scan.ValidBytes == 0;
+  if (Out.Created)
+    BytesN = persist::LogHeaderBytes;
   NextSeq = Scan.LastSeq + 1;
   Out.Ok = true;
-  Out.ValidBytes = Keep;
+  Out.ValidBytes = Out.Created ? persist::LogHeaderBytes : Scan.ValidBytes;
   Out.NextSeq = NextSeq;
   return Out;
 }
 
-bool TraceRecorder::ok() const { return Sink && Sink->ok(); }
+bool TraceRecorder::ok() const { return Log.ok(); }
 
-bool TraceRecorder::close() {
-  if (!Sink)
-    return true;
-  const bool Closed = Sink->close();
-  Sink.reset();
-  return Closed;
-}
+bool TraceRecorder::close() { return Log.close(); }
 
 std::uint64_t TraceRecorder::append(RecordKind Kind,
                                     std::span<const std::uint8_t> Payload) {
   // The sequence is consumed even when the append fails: batches stamped
   // after the recorder dies must still get unique identities.
   const std::uint64_t Seq = NextSeq++;
-  if (!ok()) {
+  if (!Log.append(Seq, static_cast<std::uint8_t>(Kind), Payload)) {
     ++FailuresN;
     obs::addTo(Obs ? Obs->AppendFailures : nullptr);
     return Seq;
   }
-  const std::uint8_t RawKind = static_cast<std::uint8_t>(Kind);
-  persist::ByteWriter W;
-  W.reserve(TraceRecordHeaderBytes + Payload.size());
-  W.u64(Seq);
-  W.u8(RawKind);
-  W.u32(static_cast<std::uint32_t>(Payload.size()));
-  W.u32(traceRecordCrc(Seq, RawKind, Payload));
-  W.bytes(Payload);
-  // Flush before acknowledging, the journal's durability idiom: an
-  // acknowledged record survives a process death; a death mid-write
-  // leaves a torn tail the next open repairs.
-  if (!Sink->write(W.data()) || !Sink->flush()) {
-    ++FailuresN;
-    obs::addTo(Obs ? Obs->AppendFailures : nullptr);
-    return Seq;
-  }
+  const std::uint64_t Bytes = persist::LogRecordHeaderBytes + Payload.size();
   ++RecordsN;
-  BytesN += W.size();
+  BytesN += Bytes;
   obs::addTo(Obs ? Obs->RecordsTotal : nullptr);
-  obs::addTo(Obs ? Obs->BytesTotal : nullptr, W.size());
+  obs::addTo(Obs ? Obs->BytesTotal : nullptr, Bytes);
   return Seq;
 }
 

@@ -7,11 +7,11 @@
 /// \file
 /// The writing half of the flight recorder: a \ref service::BatchRecorder
 /// that appends each recorded decision as one trace record, flushed
-/// before the append is acknowledged. \ref open repairs a torn tail left
-/// by a previous kill (truncating to the scanner's valid prefix, the
-/// journal's repair idiom) and resumes the sequence after the last valid
-/// record, so a recording can survive any number of mid-write deaths with
-/// the surviving prefix always replayable.
+/// before the append is acknowledged (persist::LogWriter, the journal's
+/// writer). \ref open repairs a torn tail left by a previous kill with the
+/// record log's repair policy (persist::repairLog) and resumes the
+/// sequence after the last valid record, so a recording can survive any
+/// number of mid-write deaths with the surviving prefix always replayable.
 ///
 /// The recorder is an *observer*: an append failure (real I/O error or an
 /// injected \ref persist::CrashPoint exhaustion) latches it dead and
@@ -30,11 +30,10 @@
 #define REGMON_TRACE_RECORDER_H
 
 #include "obs/Instruments.h"
-#include "persist/Io.h"
+#include "persist/RecordLog.h"
 #include "trace/Reader.h"
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 
@@ -105,7 +104,7 @@ private:
   /// unique even across a dead recorder.
   std::uint64_t append(RecordKind Kind, std::span<const std::uint8_t> Payload);
 
-  std::unique_ptr<persist::FileSink> Sink;
+  persist::LogWriter Log;
   const obs::TraceInstruments *Obs = nullptr;
   std::uint64_t NextSeq = 1;
   std::uint64_t RecordsN = 0;

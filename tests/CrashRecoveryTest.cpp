@@ -12,15 +12,19 @@
 // processed exactly the acknowledged work without interruption. A fuzz
 // pass truncates and bit-flips every byte of a committed snapshot and
 // asserts recovery degrades to journal replay with the corruption counted,
-// never a crash. Run under ASan/UBSan and TSan via
-// tools/run_sanitized_tests.sh.
+// never a crash. Journals this service cannot apply -- another format, the
+// pre-record-log v1 layout, batches for streams it does not have -- must
+// survive a restore byte-identical, with later submits refused. Run under
+// ASan/UBSan and TSan via tools/run_sanitized_tests.sh.
 //
 //===----------------------------------------------------------------------===//
 
 #include "service/MonitorService.h"
 
 #include "faults/FaultPlan.h"
+#include "persist/Bytes.h"
 #include "persist/Checkpoint.h"
+#include "persist/Crc32.h"
 #include "persist/Io.h"
 #include "persist/StateCodec.h"
 #include "sampling/Sampler.h"
@@ -487,6 +491,121 @@ TEST(CrashRecovery, SnapshotFuzzEveryOffsetDegradesToJournalReplay) {
     writeSnapshot(Mutated);
     expectJournalRecovery("bit flip at offset " + std::to_string(Off));
   }
+}
+
+/// Restores a service over \p Fleet's first \p Streams streams from the
+/// journal bytes \p Journal and asserts the journal was refused: nothing
+/// replayed past \p ExpectSeq, the refusal counted, nothing repaired, a
+/// submit refused instead of appended, and the file left byte-identical.
+void expectJournalRefused(const std::vector<RecordedStream> &Fleet,
+                          std::size_t Streams, const std::string &Dir,
+                          const std::vector<std::uint8_t> &Journal,
+                          std::uint64_t ExpectSeq) {
+  CheckpointManager Store(Dir);
+  MonitorService Service(testConfig());
+  for (std::size_t Id = 0; Id < Streams; ++Id)
+    Service.addStream(*Fleet[Id].Map);
+  Service.attachPersistence(Store);
+  EXPECT_EQ(Service.restore(), ExpectSeq == 0 ? RestoreOutcome::ColdStart
+                                              : RestoreOutcome::JournalOnly);
+  EXPECT_EQ(Service.persistedSequence(), ExpectSeq);
+  EXPECT_EQ(Store.counters().JournalRefusals, 1U);
+  EXPECT_EQ(Store.counters().JournalTornTails, 0U);
+  EXPECT_EQ(Store.counters().JournalRepairs, 0U);
+  Service.start();
+  EXPECT_FALSE(Service.submit({0, Fleet[0].Intervals[0]}))
+      << "a submit was appended behind records restore refused";
+  Service.stop();
+  const auto After = persist::readFileBytes(Store.journalPath());
+  ASSERT_TRUE(After.has_value());
+  EXPECT_EQ(*After, Journal) << "restore modified a journal it refused";
+}
+
+// Restoring with fewer streams registered than the journal names must not
+// destroy the records it cannot apply: they are acknowledged work, not a
+// torn tail. A later restore with every stream recovers all of it.
+TEST(CrashRecovery, RestoreKeepsJournalRecordsForUnregisteredStreams) {
+  std::vector<RecordedStream> Fleet = smallFleet();
+  Fleet.push_back(record("synthetic.steady", 3));
+  Fleet.push_back(record("synthetic.periodic", 4));
+  std::vector<SampleBatch> Batches = roundRobin(Fleet);
+  ASSERT_GE(Batches.size(), 8U);
+  Batches.resize(8);
+
+  const std::string Dir = scratchDir("fewer_streams");
+  std::vector<std::uint8_t> Live;
+  {
+    CheckpointManager Store(Dir);
+    auto Service = makeService(Fleet);
+    Service->attachPersistence(Store);
+    ASSERT_EQ(Service->restore(), RestoreOutcome::ColdStart);
+    Service->start();
+    for (const SampleBatch &B : Batches)
+      ASSERT_TRUE(Service->submit(B));
+    Service->stop();
+    Live = Service->encodeState();
+  }
+  const auto Journal = persist::readFileBytes(Dir + "/journal.wal");
+  ASSERT_TRUE(Journal.has_value());
+
+  // Streams 0 and 1 only: records 1-2 replay, record 3 (stream 2) stops
+  // the replay.
+  expectJournalRefused(Fleet, 2, Dir, *Journal, /*ExpectSeq=*/2);
+
+  CheckpointManager Store(Dir);
+  auto Service = makeService(Fleet);
+  Service->attachPersistence(Store);
+  EXPECT_EQ(Service->restore(), RestoreOutcome::JournalOnly);
+  EXPECT_EQ(Service->persistedSequence(), 8U);
+  EXPECT_EQ(Store.counters().JournalRefusals, 0U);
+  EXPECT_EQ(Service->encodeState(), Live);
+}
+
+// A journal.wal whose header is not ours is another writer's file: never
+// truncated, and the service refuses work rather than append to it.
+TEST(CrashRecovery, ForeignJournalIsLeftByteIdenticalAndSubmitsRefused) {
+  const std::vector<RecordedStream> Fleet = smallFleet();
+  const std::string Dir = scratchDir("foreign_journal");
+  persist::ByteWriter W;
+  W.u32(0x4C4F4746U); // 'FGOL': some other log
+  W.u32(persist::JournalFormat.Version);
+  W.str("not a regmon journal");
+  const std::vector<std::uint8_t> Journal = W.take();
+  {
+    persist::FileSink Sink(Dir + "/journal.wal", /*Append=*/false, nullptr);
+    ASSERT_TRUE(Sink.write(Journal));
+    ASSERT_TRUE(Sink.close());
+  }
+  expectJournalRefused(Fleet, Fleet.size(), Dir, Journal, /*ExpectSeq=*/0);
+}
+
+// The format upgrade: a v1 journal (the layout before the shared record
+// log -- [u64 seq | u32 len | u32 crc | payload], no kind byte) is
+// refused as version skew, neither replayed nor modified.
+TEST(CrashRecovery, VersionOneJournalIsNeitherReplayedNorModified) {
+  const std::vector<RecordedStream> Fleet = smallFleet();
+  const std::vector<SampleBatch> Batches = roundRobin(Fleet);
+  const std::string Dir = scratchDir("v1_journal");
+  persist::ByteWriter W;
+  W.u32(persist::JournalFormat.Magic);
+  W.u32(1);
+  for (std::uint64_t Seq = 1; Seq <= 3; ++Seq) {
+    persist::ByteWriter Payload;
+    encodeBatch(Payload, Batches[Seq - 1]);
+    persist::ByteWriter Head;
+    Head.u64(Seq);
+    Head.u32(static_cast<std::uint32_t>(Payload.size()));
+    W.bytes(Head.data());
+    W.u32(persist::crc32(Payload.data(), persist::crc32(Head.data())));
+    W.bytes(Payload.data());
+  }
+  const std::vector<std::uint8_t> Journal = W.take();
+  {
+    persist::FileSink Sink(Dir + "/journal.wal", /*Append=*/false, nullptr);
+    ASSERT_TRUE(Sink.write(Journal));
+    ASSERT_TRUE(Sink.close());
+  }
+  expectJournalRefused(Fleet, Fleet.size(), Dir, Journal, /*ExpectSeq=*/0);
 }
 
 // Chaos variant: the same warm-restart bit-identity with a fault plan

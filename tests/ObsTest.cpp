@@ -515,7 +515,7 @@ TEST(ObsService, TraceInstrumentsMirrorRecorderAccounting) {
   // The 8-byte file header predates attach (open() writes it before any
   // instruments exist), so the byte counter covers records only.
   EXPECT_EQ(I.BytesTotal->value(),
-            Rec.bytesWritten() - trace::TraceHeaderBytes);
+            Rec.bytesWritten() - persist::LogHeaderBytes);
   EXPECT_EQ(I.AppendFailures->value(), 0u);
 
   const std::uint64_t RecordBytes = I.BytesTotal->value();

@@ -17,7 +17,7 @@
 #include "persist/Checkpoint.h"
 #include "persist/Crc32.h"
 #include "persist/Io.h"
-#include "persist/Journal.h"
+#include "persist/RecordLog.h"
 #include "persist/Snapshot.h"
 #include "persist/StateCodec.h"
 
@@ -388,7 +388,7 @@ TEST(PersistSnapshotMigration, CyclicChainRejectedNotLooped) {
 }
 
 //===----------------------------------------------------------------------===//
-// Journal
+// Journal (CheckpointManager's write-ahead journal on the record log)
 //===----------------------------------------------------------------------===//
 
 std::vector<std::uint8_t> seqPayload(std::uint64_t Seq) {
@@ -398,28 +398,45 @@ std::vector<std::uint8_t> seqPayload(std::uint64_t Seq) {
   return W.take();
 }
 
-/// Appends records 1..N to a fresh journal at \p Path.
-void writeJournal(const std::string &Path, std::uint64_t N) {
-  JournalWriter Writer;
-  ASSERT_TRUE(Writer.open(Path, nullptr));
+/// Appends records 1..N to a fresh journal in \p Dir.
+void writeJournal(const std::string &Dir, std::uint64_t N) {
+  CheckpointManager M(Dir);
+  ASSERT_TRUE(M.valid());
   for (std::uint64_t Seq = 1; Seq <= N; ++Seq)
-    ASSERT_TRUE(Writer.append(Seq, seqPayload(Seq)));
-  Writer.close();
+    ASSERT_TRUE(M.appendJournal(Seq, seqPayload(Seq)));
+}
+
+/// Replays \p Dir's journal the way a restarted process does: through a
+/// fresh manager.
+JournalResult replayJournal(const std::string &Dir,
+                            std::uint64_t SkipThroughSeq,
+                            const JournalReplayFn &Replay) {
+  CheckpointManager M(Dir);
+  return M.replayAndRepair(SkipThroughSeq, Replay);
+}
+
+/// One hand-framed journal record (the record log's v2 layout).
+void framedRecord(ByteWriter &W, std::uint64_t Seq, std::uint8_t Kind,
+                  std::span<const std::uint8_t> Payload) {
+  W.u64(Seq);
+  W.u8(Kind);
+  W.u32(static_cast<std::uint32_t>(Payload.size()));
+  W.u32(logRecordCrc(Seq, Kind, Payload));
+  W.bytes(Payload);
 }
 
 TEST(PersistJournal, AppendReplayRoundTripWithSkipThreshold) {
   const std::string Dir = scratchDir("journal_roundtrip");
-  const std::string Path = Dir + "/journal.wal";
-  writeJournal(Path, 5);
+  writeJournal(Dir, 5);
 
   std::vector<std::uint64_t> Seen;
   const JournalResult Res = replayJournal(
-      Path, /*SkipThroughSeq=*/2,
+      Dir, /*SkipThroughSeq=*/2,
       [&Seen](std::uint64_t Seq, std::span<const std::uint8_t> Payload) {
         EXPECT_EQ(std::vector<std::uint8_t>(Payload.begin(), Payload.end()),
                   seqPayload(Seq));
         Seen.push_back(Seq);
-        return true;
+        return RecordVerdict::Accept;
       });
   EXPECT_EQ(Seen, (std::vector<std::uint64_t>{3, 4, 5}));
   EXPECT_EQ(Res.RecordsReplayed, 3U);
@@ -431,9 +448,10 @@ TEST(PersistJournal, AppendReplayRoundTripWithSkipThreshold) {
 
 TEST(PersistJournal, MissingFileIsNotCorruption) {
   const std::string Dir = scratchDir("journal_missing");
-  const JournalResult Res = replayJournal(
-      Dir + "/nope.wal", 0,
-      [](std::uint64_t, std::span<const std::uint8_t>) { return true; });
+  const JournalResult Res =
+      replayJournal(Dir, 0, [](std::uint64_t, std::span<const std::uint8_t>) {
+        return RecordVerdict::Accept;
+      });
   EXPECT_TRUE(Res.Missing);
   EXPECT_FALSE(Res.TornTail);
   EXPECT_EQ(Res.RecordsReplayed, 0U);
@@ -441,36 +459,40 @@ TEST(PersistJournal, MissingFileIsNotCorruption) {
 
 TEST(PersistJournal, ReplayTrustsLongestValidPrefixAtEveryTruncation) {
   const std::string Dir = scratchDir("journal_torn");
-  const std::string Path = Dir + "/journal.wal";
-  writeJournal(Path, 3);
-  const std::vector<std::uint8_t> Full = mustRead(Path);
+  writeJournal(Dir, 3);
+  const std::vector<std::uint8_t> Full = mustRead(Dir + "/journal.wal");
 
   // Record boundaries: the valid prefixes a truncated file may expose.
   std::vector<std::uint64_t> Boundaries;
   {
     const JournalResult Whole = replayJournal(
-        Path, 0,
-        [](std::uint64_t, std::span<const std::uint8_t>) { return true; });
+        Dir, 0, [](std::uint64_t, std::span<const std::uint8_t>) {
+          return RecordVerdict::Accept;
+        });
     ASSERT_EQ(Whole.RecordsReplayed, 3U);
     ASSERT_EQ(Whole.ValidBytes, Full.size());
   }
 
-  const std::string Torn = Dir + "/torn.wal";
+  const std::string TornDir = scratchDir("journal_torn_cut");
   for (std::size_t Len = 0; Len <= Full.size(); ++Len) {
-    writeBytes(Torn, std::span<const std::uint8_t>(Full.data(), Len));
+    writeBytes(TornDir + "/journal.wal",
+               std::span<const std::uint8_t>(Full.data(), Len));
     std::uint64_t Count = 0;
     const JournalResult Res = replayJournal(
-        Torn, 0, [&Count](std::uint64_t, std::span<const std::uint8_t>) {
+        TornDir, 0, [&Count](std::uint64_t, std::span<const std::uint8_t>) {
           ++Count;
-          return true;
+          return RecordVerdict::Accept;
         });
     SCOPED_TRACE("truncated to " + std::to_string(Len));
     EXPECT_EQ(Res.RecordsReplayed, Count);
     EXPECT_LE(Res.RecordsReplayed, 3U);
     EXPECT_LE(Res.ValidBytes, Len);
-    if (Len < 8) {
-      // Not even the file header: nothing replayable.
-      EXPECT_TRUE(Res.HeaderCorrupt || Res.TornTail);
+    if (Len < LogHeaderBytes) {
+      // Not even the file header: nothing replayable. A partial header is
+      // torn; an empty file is a journal whose writer died before its
+      // header got out -- intact and empty, as for the trace.
+      EXPECT_EQ(Res.HeaderTorn, Len > 0);
+      EXPECT_TRUE(Len > 0 || Res.intact());
       EXPECT_EQ(Res.RecordsReplayed, 0U);
     } else if (Len < Full.size()) {
       // Mid-record cuts report a torn tail; exact-boundary cuts are clean.
@@ -489,23 +511,23 @@ TEST(PersistJournal, ReplayTrustsLongestValidPrefixAtEveryTruncation) {
 
 TEST(PersistJournal, EveryBitFlipScansSafely) {
   const std::string Dir = scratchDir("journal_flip");
-  const std::string Path = Dir + "/journal.wal";
-  writeJournal(Path, 3);
-  const std::vector<std::uint8_t> Full = mustRead(Path);
+  writeJournal(Dir, 3);
+  const std::vector<std::uint8_t> Full = mustRead(Dir + "/journal.wal");
 
-  const std::string Mut = Dir + "/mut.wal";
+  const std::string MutDir = scratchDir("journal_flip_mut");
   for (std::size_t Off = 0; Off < Full.size(); ++Off) {
     std::vector<std::uint8_t> Mutated = Full;
     Mutated[Off] ^= static_cast<std::uint8_t>(1U << (Off % 8));
-    writeBytes(Mut, Mutated);
+    writeBytes(MutDir + "/journal.wal", Mutated);
     const JournalResult Res = replayJournal(
-        Mut, 0, [](std::uint64_t Seq, std::span<const std::uint8_t> Payload) {
+        MutDir, 0,
+        [](std::uint64_t Seq, std::span<const std::uint8_t> Payload) {
           // Any record that *is* delivered must carry an intact payload:
           // the flip can only remove records from the valid prefix.
           EXPECT_EQ(
               std::vector<std::uint8_t>(Payload.begin(), Payload.end()),
               seqPayload(Seq));
-          return true;
+          return RecordVerdict::Accept;
         });
     SCOPED_TRACE("flip at offset " + std::to_string(Off));
     EXPECT_LE(Res.RecordsReplayed, 3U);
@@ -520,26 +542,19 @@ TEST(PersistJournal, EveryBitFlipScansSafely) {
 
 TEST(PersistJournal, NonIncreasingSequenceEndsScan) {
   const std::string Dir = scratchDir("journal_seq");
-  const std::string Path = Dir + "/journal.wal";
   // Hand-build: header + seq 5 + seq 5 again (stale tail after reuse).
   ByteWriter W;
-  W.u32(JournalMagic);
-  W.u32(JournalVersion);
-  for (int I = 0; I < 2; ++I) {
-    const std::vector<std::uint8_t> P = seqPayload(5);
-    W.u64(5);
-    W.u32(static_cast<std::uint32_t>(P.size()));
-    W.u32(journalRecordCrc(5, P));
-    W.bytes(P);
-  }
+  encodeLogHeader(W, JournalFormat);
+  for (int I = 0; I < 2; ++I)
+    framedRecord(W, 5, JournalBatchKind, seqPayload(5));
   const std::vector<std::uint8_t> Bytes = W.take();
-  writeBytes(Path, Bytes);
+  writeBytes(Dir + "/journal.wal", Bytes);
 
   std::uint64_t Count = 0;
   const JournalResult Res = replayJournal(
-      Path, 0, [&Count](std::uint64_t, std::span<const std::uint8_t>) {
+      Dir, 0, [&Count](std::uint64_t, std::span<const std::uint8_t>) {
         ++Count;
-        return true;
+        return RecordVerdict::Accept;
       });
   EXPECT_EQ(Count, 1U);
   EXPECT_TRUE(Res.TornTail);
@@ -548,14 +563,14 @@ TEST(PersistJournal, NonIncreasingSequenceEndsScan) {
 
 TEST(PersistJournal, RejectedPayloadStopsScanAndIsNotCountedInLastSeq) {
   const std::string Dir = scratchDir("journal_reject");
-  const std::string Path = Dir + "/journal.wal";
-  writeJournal(Path, 3);
+  writeJournal(Dir, 3);
   const JournalResult Res = replayJournal(
-      Path, 0, [](std::uint64_t Seq, std::span<const std::uint8_t>) {
-        return Seq < 2; // the service rejects record 2 as malformed
+      Dir, 0, [](std::uint64_t Seq, std::span<const std::uint8_t>) {
+        // The service rejects record 2 as malformed.
+        return Seq < 2 ? RecordVerdict::Accept : RecordVerdict::Malformed;
       });
   EXPECT_EQ(Res.RecordsReplayed, 1U);
-  EXPECT_TRUE(Res.PayloadRejected);
+  EXPECT_TRUE(Res.MalformedPayload);
   EXPECT_EQ(Res.LastSeq, 1U);
 }
 
@@ -610,7 +625,7 @@ TEST(PersistCheckpoint, CommitRotatesAndCompactionKeepsFallbackUsable) {
   (void)M.replayAndRepair(
       0, [&Seen](std::uint64_t Seq, std::span<const std::uint8_t>) {
         Seen.push_back(Seq);
-        return true;
+        return RecordVerdict::Accept;
       });
   EXPECT_EQ(Seen, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6}));
 
@@ -620,7 +635,7 @@ TEST(PersistCheckpoint, CommitRotatesAndCompactionKeepsFallbackUsable) {
   (void)M.replayAndRepair(
       0, [&Seen](std::uint64_t Seq, std::span<const std::uint8_t>) {
         Seen.push_back(Seq);
-        return true;
+        return RecordVerdict::Accept;
       });
   EXPECT_EQ(Seen, (std::vector<std::uint64_t>{4, 5, 6}));
   EXPECT_EQ(M.counters().SnapshotsCommitted, 3U);
@@ -643,7 +658,9 @@ TEST(PersistCheckpoint, ReplayAndRepairTruncatesTornTail) {
   const std::uint64_t TornSize = mustRead(M.journalPath()).size();
 
   const JournalResult Res = M.replayAndRepair(
-      0, [](std::uint64_t, std::span<const std::uint8_t>) { return true; });
+      0, [](std::uint64_t, std::span<const std::uint8_t>) {
+        return RecordVerdict::Accept;
+      });
   EXPECT_EQ(Res.RecordsReplayed, 3U);
   EXPECT_TRUE(Res.TornTail);
   EXPECT_EQ(M.counters().JournalTornTails, 1U);
@@ -656,10 +673,66 @@ TEST(PersistCheckpoint, ReplayAndRepairTruncatesTornTail) {
   const JournalResult After = M.replayAndRepair(
       0, [&Seen](std::uint64_t Seq, std::span<const std::uint8_t>) {
         Seen.push_back(Seq);
-        return true;
+        return RecordVerdict::Accept;
       });
   EXPECT_FALSE(After.TornTail);
   EXPECT_EQ(Seen, (std::vector<std::uint64_t>{1, 2, 3, 4}));
+}
+
+// The shared repair policy, journal side: bytes this build cannot apply
+// -- a foreign magic, another version, an unknown kind, a record the
+// owner refuses -- are counted as a refusal and never truncated, neither
+// by replay nor by a later checkpoint's compaction.
+TEST(PersistCheckpoint, RefusedJournalIsCountedAndLeftByteIdentical) {
+  const auto refusedBy = [](const std::string &Tag,
+                            std::vector<std::uint8_t> Bytes,
+                            RecordVerdict Verdict) -> JournalResult {
+    SCOPED_TRACE(Tag);
+    const std::string Dir = scratchDir("journal_refused");
+    CheckpointManager M(Dir);
+    writeBytes(M.journalPath(), Bytes);
+    const JournalResult Res = M.replayAndRepair(
+        0, [Verdict](std::uint64_t, std::span<const std::uint8_t>) {
+          return Verdict;
+        });
+    EXPECT_TRUE(Res.refused());
+    EXPECT_EQ(M.counters().JournalRefusals, 1U);
+    EXPECT_EQ(M.counters().JournalTornTails, 0U);
+    EXPECT_EQ(M.counters().JournalRepairs, 0U);
+    EXPECT_EQ(mustRead(M.journalPath()), Bytes);
+    EXPECT_TRUE(M.commitSnapshot(coverSnapshot(0), 0));
+    EXPECT_EQ(mustRead(M.journalPath()), Bytes) << "compaction rewrote it";
+    return Res;
+  };
+
+  ByteWriter Foreign;
+  Foreign.u32(0x12345678U);
+  Foreign.u32(JournalFormat.Version);
+  framedRecord(Foreign, 1, JournalBatchKind, seqPayload(1));
+  EXPECT_TRUE(refusedBy("foreign magic", Foreign.take(),
+                        RecordVerdict::Accept)
+                  .HeaderCorrupt);
+
+  ByteWriter Skew;
+  Skew.u32(JournalFormat.Magic);
+  Skew.u32(JournalFormat.Version + 1);
+  EXPECT_TRUE(
+      refusedBy("newer version", Skew.take(), RecordVerdict::Accept)
+          .VersionSkew);
+
+  ByteWriter Kind;
+  encodeLogHeader(Kind, JournalFormat);
+  framedRecord(Kind, 1, JournalBatchKind + 1, seqPayload(1));
+  EXPECT_TRUE(refusedBy("unknown kind", Kind.take(), RecordVerdict::Accept)
+                  .UnknownKind);
+
+  ByteWriter Owner;
+  encodeLogHeader(Owner, JournalFormat);
+  framedRecord(Owner, 1, JournalBatchKind, seqPayload(1));
+  framedRecord(Owner, 2, JournalBatchKind, seqPayload(2));
+  EXPECT_TRUE(refusedBy("owner refused", Owner.take(),
+                        RecordVerdict::Unknown)
+                  .UnknownKind);
 }
 
 TEST(PersistCheckpoint, CorruptRungFallsToPreviousWithReasonCounted) {
@@ -692,7 +765,7 @@ TEST(PersistCheckpoint, CrashSweptCommitAlwaysLeavesRecoverableState) {
   {
     const std::string Dir = scratchDir("ckpt_sweep_acct");
     CheckpointManager M(Dir);
-    ASSERT_TRUE(M.commitSnapshot(coverSnapshot(0), 0));
+    EXPECT_TRUE(M.commitSnapshot(coverSnapshot(0), 0));
     for (std::uint64_t Seq = 1; Seq <= 3; ++Seq)
       ASSERT_TRUE(M.appendJournal(Seq, seqPayload(Seq)));
     ASSERT_TRUE(M.commitSnapshot(coverSnapshot(3), 0));
@@ -711,7 +784,7 @@ TEST(PersistCheckpoint, CrashSweptCommitAlwaysLeavesRecoverableState) {
     const std::string Dir = scratchDir("ckpt_sweep");
     {
       CheckpointManager M(Dir);
-      ASSERT_TRUE(M.commitSnapshot(coverSnapshot(0), 0));
+      EXPECT_TRUE(M.commitSnapshot(coverSnapshot(0), 0));
       for (std::uint64_t Seq = 1; Seq <= 3; ++Seq)
         ASSERT_TRUE(M.appendJournal(Seq, seqPayload(Seq)));
       ASSERT_TRUE(M.commitSnapshot(coverSnapshot(3), 0));
@@ -745,7 +818,7 @@ TEST(PersistCheckpoint, CrashSweptCommitAlwaysLeavesRecoverableState) {
           EXPECT_EQ(std::vector<std::uint8_t>(P.begin(), P.end()),
                     seqPayload(Seq));
           Replayed.insert(Seq);
-          return true;
+          return RecordVerdict::Accept;
         });
     EXPECT_FALSE(JR.HeaderCorrupt);
     // Full coverage: snapshot + replayed journal reach seq 6 exactly,
@@ -923,12 +996,18 @@ TEST(PersistStateCodec, LocalPhaseDetectorRejectsDesyncedStableMoments) {
     return W.take();
   };
 
+  // The readers view the payload bytes, so each payload is kept alive in
+  // a named vector for as long as its reader is used.
   {
-    ByteReader R(BuildPayload(/*Sum=*/7, /*SumSq=*/14)); // wrong Sum (is 6)
+    const std::vector<std::uint8_t> WrongSum =
+        BuildPayload(/*Sum=*/7, /*SumSq=*/14); // wrong Sum (is 6)
+    ByteReader R(WrongSum);
     EXPECT_FALSE(StateCodec::decode(R, Victim));
   }
   {
-    ByteReader R(BuildPayload(/*Sum=*/6, /*SumSq=*/13)); // wrong SumSq (14)
+    const std::vector<std::uint8_t> WrongSumSq =
+        BuildPayload(/*Sum=*/6, /*SumSq=*/13); // wrong SumSq (14)
+    ByteReader R(WrongSumSq);
     EXPECT_FALSE(StateCodec::decode(R, Victim));
   }
   {

@@ -50,6 +50,7 @@
 #include "obs/Instruments.h"
 #include "persist/Checkpoint.h"
 #include "persist/Io.h"
+#include "persist/RecordLog.h"
 #include "rto/Harness.h"
 #include "sampling/Sampler.h"
 #include "service/MonitorService.h"
@@ -553,14 +554,16 @@ void printStreamTable(const service::ServiceSnapshot &Snap) {
 void printRecovery(const persist::RecoveryCounters &C) {
   std::printf("  recovery: %llu replayed, %llu skipped, %llu corrupt "
               "snapshot(s), %llu fallback(s), %llu cold start(s), "
-              "%llu torn tail(s) (%llu repaired)\n",
+              "%llu torn tail(s) (%llu repaired), %llu journal "
+              "refusal(s)\n",
               static_cast<unsigned long long>(C.JournalRecordsReplayed),
               static_cast<unsigned long long>(C.JournalRecordsSkipped),
               static_cast<unsigned long long>(C.CorruptSnapshots),
               static_cast<unsigned long long>(C.FallbacksUsed),
               static_cast<unsigned long long>(C.ColdStarts),
               static_cast<unsigned long long>(C.JournalTornTails),
-              static_cast<unsigned long long>(C.JournalRepairs));
+              static_cast<unsigned long long>(C.JournalRepairs),
+              static_cast<unsigned long long>(C.JournalRefusals));
   if (C.LastError != persist::SnapshotError::None)
     std::printf("  last snapshot error: %s\n",
                 persist::toString(C.LastError));
@@ -1128,13 +1131,13 @@ int cmdTraceVerify(const Options &Opts) {
                  "the valid prefix\n");
     return 1;
   }
-  const std::uint64_t Keep = Scan.HeaderTorn ? 0 : Scan.ValidBytes;
-  if (!persist::truncateFile(Opts.Trace, Keep, nullptr)) {
+  if (persist::repairLog(Opts.Trace, Scan, nullptr) !=
+      persist::RepairOutcome::Repaired) {
     std::fprintf(stderr, "error: cannot truncate '%s'\n", Opts.Trace.c_str());
     return 1;
   }
   std::printf("  repaired: truncated to %llu byte(s)\n",
-              static_cast<unsigned long long>(Keep));
+              static_cast<unsigned long long>(Scan.ValidBytes));
   return 0;
 }
 
