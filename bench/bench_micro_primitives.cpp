@@ -5,9 +5,11 @@
 //===----------------------------------------------------------------------===//
 //
 // google-benchmark timings of the primitives on the monitoring hot path:
-// the similarity kernels, the two attribution structures across region
-// counts, one detector step of each detector, and the execution-engine
-// sampling rate. These are the constants behind Figs. 15/16.
+// the similarity kernels, the attribution structures across region counts
+// (the paper's list and interval tree, and the flat segment table the
+// monitor runs), one detector step of each detector, and the
+// execution-engine sampling rate. These are the constants behind
+// Figs. 15/16.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +19,7 @@
 #include "gpd/CentroidPhaseDetector.h"
 #include "sim/Engine.h"
 #include "support/Rng.h"
+#include "support/SegmentIndex.h"
 #include "workloads/Workloads.h"
 
 #include <benchmark/benchmark.h>
@@ -47,23 +50,39 @@ void BM_Similarity(benchmark::State &State, core::SimilarityKind Kind) {
                           static_cast<std::int64_t>(Bins));
 }
 
-void BM_Attribution(benchmark::State &State, core::AttributorKind Kind) {
+/// Attribution over State.range(0) regions through \p Kind's structure,
+/// or through the monitor's flat SegmentIndex when \p Kind is empty.
+void BM_Attribution(benchmark::State &State,
+                    std::optional<core::AttributorKind> Kind) {
   const auto Regions = static_cast<std::uint32_t>(State.range(0));
-  const auto Attrib = core::makeAttributor(Kind);
   // Regions of 64 instructions spread over a 1 MiB text section, with
   // nesting every 8th region.
   Rng Random(3);
+  std::vector<SegmentIndex::Interval> Intervals;
   for (std::uint32_t Id = 0; Id < Regions; ++Id) {
     const Addr Start = (Random.nextBelow(4096)) * 256;
     const Addr Len = Id % 8 == 0 ? 2048 : 256;
-    Attrib->insert(Id, Start, Start + Len);
+    Intervals.push_back({Start, Start + Len, Id});
   }
   std::vector<Addr> Pcs(1024);
   for (auto &Pc : Pcs)
     Pc = Random.nextBelow(1u << 20) & ~Addr(3);
+  std::size_t I = 0;
+  if (!Kind) {
+    SegmentIndex Index;
+    Index.build(Intervals);
+    for (auto _ : State) {
+      const std::span<const std::uint32_t> Hits = Index.find(Pcs[I++ & 1023]);
+      benchmark::DoNotOptimize(Hits.data());
+      benchmark::DoNotOptimize(Hits.size());
+    }
+    return;
+  }
+  const auto Attrib = core::makeAttributor(*Kind);
+  for (const SegmentIndex::Interval &R : Intervals)
+    Attrib->insert(R.Value, R.Start, R.End);
   std::vector<core::RegionId> Out;
   Out.reserve(16);
-  std::size_t I = 0;
   for (auto _ : State) {
     Out.clear();
     Attrib->lookup(Pcs[I++ & 1023], Out);
@@ -125,6 +144,11 @@ BENCHMARK_CAPTURE(BM_Attribution, list, core::AttributorKind::List)
     ->Arg(64)
     ->Arg(256);
 BENCHMARK_CAPTURE(BM_Attribution, tree, core::AttributorKind::IntervalTree)
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256);
+BENCHMARK_CAPTURE(BM_Attribution, flat, std::nullopt)
     ->Arg(4)
     ->Arg(16)
     ->Arg(64)

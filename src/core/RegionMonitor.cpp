@@ -31,7 +31,6 @@ obs::EventKind phaseEntryKind(LocalPhaseState S) {
 
 RegionMonitor::RegionMonitor(const CodeMap &CM, RegionMonitorConfig Cfg)
     : Map(CM), Config(Cfg),
-      Attrib(makeAttributor(Config.Attribution)),
       Metric(makeSimilarity(Config.Similarity.Kind, &SimilarityFellBack)) {
   assert(Config.UcrTriggerFraction >= 0 && Config.UcrTriggerFraction <= 1 &&
          "UCR trigger must be a fraction");
@@ -136,10 +135,7 @@ std::uint64_t RegionMonitor::totalSamples() const {
 }
 
 void RegionMonitor::reset() {
-  for (RegionId Id = 0; Id < Regions.size(); ++Id)
-    if (Active[Id])
-      Attrib->remove(Id, Regions[Id].Start, Regions[Id].End);
-  assert(Attrib->size() == 0 && "attribution index out of sync");
+  Index.clear();
   Regions.clear();
   Active.clear();
   CurrHists.clear();
@@ -261,17 +257,26 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
         MissStablePtrs[Id] = MissDetectors[Id]->stableSet().data();
   }
 
-  // 1. Attribute every sample; unmatched samples belong to the UCR.
+  // 1. Attribute every sample; unmatched samples belong to the UCR. Each
+  // sample's lookup is issued one sample ahead: crediting hits branches on
+  // where a random PC landed and mispredicts often, and the next lookup --
+  // branch-free and independent of those branches -- then completes in
+  // the shadow of the recovery instead of after it.
   UcrScratch.clear();
   std::uint64_t RejectedNow = 0;
-  for (const Sample &S : Samples) {
-    LookupScratch.clear();
-    Attrib->lookup(S.Pc, LookupScratch);
-    if (LookupScratch.empty()) {
+  std::span<const RegionId> NextHits;
+  if (!Samples.empty())
+    NextHits = Index.find(Samples.front().Pc);
+  for (std::size_t I = 0; I < Samples.size(); ++I) {
+    const Sample &S = Samples[I];
+    const std::span<const RegionId> Hits = NextHits;
+    if (I + 1 < Samples.size())
+      NextHits = Index.find(Samples[I + 1].Pc);
+    if (Hits.empty()) {
       UcrScratch.push_back(S.Pc);
       continue;
     }
-    for (RegionId Id : LookupScratch) {
+    for (RegionId Id : Hits) {
       const std::ptrdiff_t Bin = CurrHists[Id].tryAddSampleAt(S.Pc);
       if (Bin < 0) {
         // The attribution index said the PC falls inside this region but
@@ -492,14 +497,16 @@ void RegionMonitor::triggerFormation(std::span<const Addr> UcrPcs) {
       RTimelines.emplace_back();
       StateTimelines.emplace_back();
     }
-    Attrib->insert(Id, Regions.back().Start, Regions.back().End);
     ++ActiveCount;
     ++FormedNow;
     emit(RegionEvent::Kind::Formed, Id);
   }
+  if (FormedNow > 0)
+    rebuildIndex();
 }
 
 void RegionMonitor::pruneCold() {
+  bool Retired = false;
   for (RegionId Id = 0; Id < Regions.size(); ++Id) {
     if (!Active[Id])
       continue;
@@ -507,7 +514,21 @@ void RegionMonitor::pruneCold() {
         Config.PruneAfterIdleIntervals)
       continue;
     Active[Id] = false;
-    Attrib->remove(Id, Regions[Id].Start, Regions[Id].End);
+    Retired = true;
     emit(RegionEvent::Kind::Pruned, Id);
   }
+  if (Retired)
+    rebuildIndex();
+}
+
+void RegionMonitor::rebuildIndex() {
+  // Region bounds come from the CodeMap or a validated snapshot, both
+  // instruction-aligned, so an interval covers at most one segment per
+  // instruction: the table's size is bounded by the histogram bins the
+  // active regions already hold.
+  std::vector<SegmentIndex::Interval> Live;
+  for (RegionId Id = 0; Id < Regions.size(); ++Id)
+    if (Active[Id])
+      Live.push_back({Regions[Id].Start, Regions[Id].End, Id});
+  Index.build(Live);
 }

@@ -32,13 +32,13 @@
 #ifndef REGMON_CORE_REGIONMONITOR_H
 #define REGMON_CORE_REGIONMONITOR_H
 
-#include "core/Attribution.h"
 #include "core/CodeMap.h"
 #include "core/LocalPhaseDetector.h"
 #include "core/Region.h"
 #include "core/Similarity.h"
 #include "obs/Instruments.h"
 #include "support/Histogram.h"
+#include "support/SegmentIndex.h"
 #include "support/Statistics.h"
 #include "support/Types.h"
 
@@ -66,8 +66,6 @@ struct RegionMonitorConfig {
   std::size_t MaxNewRegionsPerTrigger = 8;
   /// Cap on simultaneously monitored regions.
   std::size_t MaxRegions = 128;
-  /// Sample-attribution strategy (Fig. 16 compares the two).
-  AttributorKind Attribution = AttributorKind::IntervalTree;
   /// Histogram similarity metric for local phase detection, plus the
   /// engine computing it (assigning a bare SimilarityKind keeps the
   /// default incremental engine). The naive engine recomputes the moments
@@ -225,7 +223,7 @@ public:
   /// Returns the monitor to its freshly constructed state (no regions, no
   /// history), keeping the configuration and CodeMap. Lets a service
   /// shard reuse a monitor for a new stream without reallocating the
-  /// attribution index.
+  /// attribution index's storage.
   void reset();
 
   /// Returns the number of intervals observed.
@@ -272,18 +270,18 @@ public:
   std::uint64_t outOfRegionSamples() const { return OutOfRegionSamples; }
 
 private:
-  /// Checkpointing serializes every learned field below (scratch buffers
-  /// and the event handler excluded) and re-inserts active regions into
-  /// the attribution index on decode (persist/StateCodec.h).
+  /// Checkpointing serializes every learned field below (scratch buffers,
+  /// the attribution index and the event handler excluded) and rebuilds
+  /// the attribution index once a decode succeeds (persist/StateCodec.h).
   friend class persist::StateCodec;
 
   void triggerFormation(std::span<const Addr> UcrPcs);
   void pruneCold();
+  void rebuildIndex();
   void emit(RegionEvent::Kind K, RegionId Id);
 
   const CodeMap &Map;
   RegionMonitorConfig Config;
-  std::unique_ptr<Attributor> Attrib;
   /// Declared before Metric: the constructor's makeSimilarity call writes
   /// through its address, so it must be initialized first.
   bool SimilarityFellBack = false;
@@ -298,6 +296,10 @@ private:
   std::vector<std::unique_ptr<LocalPhaseDetector>> Detectors;
   std::vector<std::unique_ptr<LocalPhaseDetector>> MissDetectors;
   std::vector<RegionStats> Stats;
+  /// Sample attribution: a flat segment table over the active regions
+  /// (payload = RegionId, in id order). Derived state, rebuilt whenever
+  /// the active set changes -- formation, retirement, reset, restore.
+  SegmentIndex Index;
   std::vector<std::uint64_t> LastSampledInterval;
   std::vector<std::vector<std::uint64_t>> CumulativeMisses; // per bin
   std::vector<WindowedStats> RecentMiss;
@@ -320,7 +322,6 @@ private:
   bool IncrementalSimilarity = false;
 
   // Reused scratch buffers (hot path).
-  std::vector<RegionId> LookupScratch;
   std::vector<Addr> UcrScratch;
   /// Incremental engine scratch, re-primed each interval: per-region
   /// cross moments sum(prev_i * curr_i) accumulated as samples land, and

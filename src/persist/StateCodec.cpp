@@ -266,9 +266,6 @@ bool StateCodec::decode(ByteReader &R, core::RegionMonitor &M) {
       M.RTimelines.emplace_back();
       M.StateTimelines.emplace_back();
     }
-    if (IsActive)
-      M.Attrib->insert(Placed.Id, Placed.Start, Placed.End);
-
     if (!decode(R, M.CurrHists.back()) ||
         !decode(R, M.CurrMissHists.back()) ||
         !decode(R, *M.Detectors.back()))
@@ -316,6 +313,7 @@ bool StateCodec::decode(ByteReader &R, core::RegionMonitor &M) {
         return Reject();
     }
   }
+  M.rebuildIndex();
   return true;
 }
 

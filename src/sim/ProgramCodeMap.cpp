@@ -6,17 +6,28 @@
 
 #include "sim/ProgramCodeMap.h"
 
+#include <vector>
+
 using namespace regmon;
 using namespace regmon::sim;
 
+ProgramCodeMap::ProgramCodeMap(const Program &P) : Prog(P) {
+  // Non-regionable loops are left out: an enclosing regionable loop (if
+  // any) can still claim their PCs.
+  std::vector<SegmentIndex::Interval> Regionable;
+  for (const Loop &L : Prog.loops())
+    if (L.Regionable)
+      Regionable.push_back({L.Start, L.End, L.Id});
+  Loops.build(Regionable);
+}
+
 std::optional<core::CodeRegionInfo>
 ProgramCodeMap::regionFor(Addr Pc) const {
-  // Innermost regionable loop containing Pc. Non-regionable loops are
-  // skipped: an enclosing regionable loop (if any) can still claim the PC.
+  // Innermost regionable loop containing Pc; the index lists covering
+  // loops in loop-table order, so the first of equally sized ones wins.
   const Loop *Best = nullptr;
-  for (const Loop &L : Prog.loops()) {
-    if (!L.Regionable || Pc < L.Start || Pc >= L.End)
-      continue;
+  for (std::uint32_t Id : Loops.find(Pc)) {
+    const Loop &L = Prog.loop(Id);
     if (!Best || L.End - L.Start < Best->End - Best->Start)
       Best = &L;
   }

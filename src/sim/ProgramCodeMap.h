@@ -18,19 +18,23 @@
 
 #include "core/CodeMap.h"
 #include "sim/Program.h"
+#include "support/SegmentIndex.h"
 
 namespace regmon::sim {
 
 /// CodeMap implementation over a synthetic program's loop table.
 class ProgramCodeMap final : public core::CodeMap {
 public:
-  /// Creates a map over \p P, which must outlive the map.
-  explicit ProgramCodeMap(const Program &P) : Prog(P) {}
+  /// Creates a map over \p P, which must outlive the map. Programs are
+  /// immutable, so the map indexes the regionable loops once, here.
+  explicit ProgramCodeMap(const Program &P);
 
   std::optional<core::CodeRegionInfo> regionFor(Addr Pc) const override;
 
 private:
   const Program &Prog;
+  /// Regionable loops by extent (payload = LoopId).
+  SegmentIndex Loops;
 };
 
 } // namespace regmon::sim

@@ -181,8 +181,13 @@ TEST(RegionMonitor, PruningDropsColdRegions) {
   EXPECT_FALSE(M.isActive(0));
   EXPECT_TRUE(M.activeRegionIds().empty());
   EXPECT_EQ(Kinds.back(), RegionEvent::Kind::Pruned);
-  // The region's code heats up again: it is re-formed under a new id.
+  const std::uint64_t RetiredSamples = M.stats(0).TotalSamples;
+  // The region's code heats up again: its samples are unmonitored, and it
+  // is re-formed under a new id.
   M.observeInterval(buffer({{0x1004, 100}}));
+  EXPECT_DOUBLE_EQ(M.lastUcrFraction(), 1.0);
+  EXPECT_EQ(M.lastSampleCount(0), 0u);
+  EXPECT_EQ(M.stats(0).TotalSamples, RetiredSamples);
   ASSERT_EQ(M.regions().size(), 2u);
   EXPECT_TRUE(M.isActive(1));
 }

@@ -1091,6 +1091,25 @@ TEST(PersistStateCodec, RegionMonitorRejectsTruncationAndResets) {
     // All-or-nothing: the victim is back at cold state, not half-written.
     EXPECT_EQ(encodeBytes(Victim), FreshBytes);
     EXPECT_TRUE(Victim.regions().empty());
+    // Regions placed before the failure never reach attribution: the next
+    // interval is all UCR.
+    Victim.observeInterval(S.Intervals.back());
+    EXPECT_DOUBLE_EQ(Victim.lastUcrFraction(), 1.0);
+  }
+
+  // A decode into a monitor that already monitors regions is refused and
+  // resets it; its attribution index must be emptied with the regions.
+  {
+    core::RegionMonitor Live(*S.Map);
+    Live.observeInterval(S.Intervals.front());
+    Live.observeInterval(S.Intervals.back());
+    ASSERT_GT(Live.activeRegionCount(), 0U);
+    ASSERT_LT(Live.lastUcrFraction(), 1.0);
+    ByteReader R(Bytes);
+    EXPECT_FALSE(StateCodec::decode(R, Live));
+    EXPECT_EQ(encodeBytes(Live), FreshBytes);
+    Live.observeInterval(S.Intervals.back());
+    EXPECT_DOUBLE_EQ(Live.lastUcrFraction(), 1.0);
   }
 
   // A different monitor configuration is a different state layout:

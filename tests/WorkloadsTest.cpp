@@ -6,6 +6,8 @@
 
 #include "workloads/Workloads.h"
 
+#include "sim/ProgramCodeMap.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -74,6 +76,38 @@ TEST_P(WorkloadValidityTest, MixWeightsArePositiveFractions) {
     EXPECT_FALSE(M.Components.empty());
     const double Total = M.totalWeight();
     EXPECT_NEAR(Total, 1.0, 0.05) << "mixes should be ~normalized";
+  }
+}
+
+TEST_P(WorkloadValidityTest, CodeMapMatchesLinearScan) {
+  // Reference: the innermost regionable loop by a scan of the loop table,
+  // the first in table order among equally sized ones.
+  const Workload W = make(GetParam());
+  const auto scan = [&W](Addr Pc) -> const sim::Loop * {
+    const sim::Loop *Best = nullptr;
+    for (const sim::Loop &L : W.Prog.loops()) {
+      if (!L.Regionable || Pc < L.Start || Pc >= L.End)
+        continue;
+      if (!Best || L.End - L.Start < Best->End - Best->Start)
+        Best = &L;
+    }
+    return Best;
+  };
+  Addr First = ~Addr{0}, Last = 0;
+  for (const sim::Loop &L : W.Prog.loops()) {
+    First = std::min(First, L.Start);
+    Last = std::max(Last, L.End);
+  }
+  const sim::ProgramCodeMap Map(W.Prog);
+  for (Addr Pc = First - 8; Pc < Last + 8; Pc += InstrBytes) {
+    const sim::Loop *Expected = scan(Pc);
+    const std::optional<core::CodeRegionInfo> Got = Map.regionFor(Pc);
+    ASSERT_EQ(Got.has_value(), Expected != nullptr) << "pc " << Pc;
+    if (!Got)
+      continue;
+    ASSERT_EQ(Got->Start, Expected->Start) << "pc " << Pc;
+    ASSERT_EQ(Got->End, Expected->End) << "pc " << Pc;
+    ASSERT_EQ(Got->Name, Expected->Name) << "pc " << Pc;
   }
 }
 
