@@ -84,7 +84,8 @@ void RegionMonitor::emit(RegionEvent::Kind K, RegionId Id) {
       obs::addTo(Obs->MissPhaseChanges);
       obs::recordEvent(Obs->Tracer, obs::EventKind::MissPhaseChange,
                        Obs->Stream, Id, Intervals,
-                       MissDetectors[Id] ? MissDetectors[Id]->lastR() : 0.0);
+                       State[Id].MissDetector ? State[Id].MissDetector->lastR()
+                                              : 0.0);
       break;
     }
   }
@@ -94,61 +95,50 @@ void RegionMonitor::emit(RegionEvent::Kind K, RegionId Id) {
 
 bool RegionMonitor::isActive(RegionId Id) const {
   assert(Id < Regions.size() && "unknown region");
-  return Active[Id];
+  return State[Id].Active;
 }
 
 std::vector<RegionId> RegionMonitor::activeRegionIds() const {
   std::vector<RegionId> Out;
   for (RegionId Id = 0; Id < Regions.size(); ++Id)
-    if (Active[Id])
+    if (State[Id].Active)
       Out.push_back(Id);
   return Out;
 }
 
 std::size_t RegionMonitor::activeRegionCount() const {
   std::size_t N = 0;
-  for (RegionId Id = 0; Id < Regions.size(); ++Id)
-    N += Active[Id] ? 1 : 0;
+  for (const RegionState &RS : State)
+    N += RS.Active ? 1 : 0;
   return N;
 }
 
 std::size_t RegionMonitor::stableRegionCount() const {
   std::size_t N = 0;
-  for (RegionId Id = 0; Id < Regions.size(); ++Id)
-    N += Active[Id] && Detectors[Id]->state() == LocalPhaseState::Stable ? 1
-                                                                         : 0;
+  for (const RegionState &RS : State)
+    N += RS.Active && RS.Detector->state() == LocalPhaseState::Stable ? 1 : 0;
   return N;
 }
 
 std::uint64_t RegionMonitor::totalPhaseChanges() const {
   std::uint64_t N = 0;
-  for (const RegionStats &S : Stats)
-    N += S.PhaseChanges;
+  for (const RegionState &RS : State)
+    N += RS.Stats.PhaseChanges;
   return N;
 }
 
 std::uint64_t RegionMonitor::totalSamples() const {
   std::uint64_t N = 0;
-  for (const RegionStats &S : Stats)
-    N += S.TotalSamples;
+  for (const RegionState &RS : State)
+    N += RS.Stats.TotalSamples;
   return N;
 }
 
 void RegionMonitor::reset() {
   Index.clear();
   Regions.clear();
-  Active.clear();
-  CurrHists.clear();
-  CurrMissHists.clear();
-  Detectors.clear();
-  MissDetectors.clear();
-  Stats.clear();
-  LastSampledInterval.clear();
-  CumulativeMisses.clear();
-  RecentMiss.clear();
-  SampleTimelines.clear();
-  RTimelines.clear();
-  StateTimelines.clear();
+  State.clear();
+  Timelines.clear();
   UcrHistory.clear();
   Intervals = 0;
   FormationTriggers = 0;
@@ -157,29 +147,29 @@ void RegionMonitor::reset() {
 }
 
 const LocalPhaseDetector &RegionMonitor::detector(RegionId Id) const {
-  assert(Id < Detectors.size() && "unknown region");
-  return *Detectors[Id];
+  assert(Id < State.size() && "unknown region");
+  return *State[Id].Detector;
 }
 
 const RegionStats &RegionMonitor::stats(RegionId Id) const {
-  assert(Id < Stats.size() && "unknown region");
-  return Stats[Id];
+  assert(Id < State.size() && "unknown region");
+  return State[Id].Stats;
 }
 
 std::uint64_t RegionMonitor::lastSampleCount(RegionId Id) const {
-  assert(Id < CurrHists.size() && "unknown region");
-  return CurrHists[Id].total();
+  assert(Id < State.size() && "unknown region");
+  return State[Id].Curr.total();
 }
 
 double RegionMonitor::recentMissFraction(RegionId Id) const {
-  assert(Id < RecentMiss.size() && "unknown region");
-  return RecentMiss[Id].mean();
+  assert(Id < State.size() && "unknown region");
+  return State[Id].RecentMiss.mean();
 }
 
 std::vector<RegionMonitor::DelinquentLoad>
 RegionMonitor::delinquentLoads(RegionId Id, std::size_t N) const {
-  assert(Id < CumulativeMisses.size() && "unknown region");
-  const std::vector<std::uint64_t> &Bins = CumulativeMisses[Id];
+  assert(Id < State.size() && "unknown region");
+  const std::vector<std::uint64_t> &Bins = State[Id].CumulativeMisses;
   std::vector<DelinquentLoad> All;
   for (std::size_t Bin = 0; Bin < Bins.size(); ++Bin)
     if (Bins[Bin] > 0)
@@ -197,8 +187,8 @@ RegionMonitor::delinquentLoads(RegionId Id, std::size_t N) const {
 
 const LocalPhaseDetector &RegionMonitor::missDetector(RegionId Id) const {
   assert(Config.TrackMissPhases && "miss channel is not enabled");
-  assert(Id < MissDetectors.size() && "unknown region");
-  return *MissDetectors[Id];
+  assert(Id < State.size() && "unknown region");
+  return *State[Id].MissDetector;
 }
 
 double RegionMonitor::lastUcrFraction() const {
@@ -208,54 +198,44 @@ double RegionMonitor::lastUcrFraction() const {
 std::span<const std::uint32_t>
 RegionMonitor::sampleTimeline(RegionId Id) const {
   assert(Config.RecordTimelines && "timelines were not recorded");
-  assert(Id < SampleTimelines.size() && "unknown region");
-  return SampleTimelines[Id];
+  assert(Id < Timelines.size() && "unknown region");
+  return Timelines[Id].Samples;
 }
 
 std::span<const double> RegionMonitor::rTimeline(RegionId Id) const {
   assert(Config.RecordTimelines && "timelines were not recorded");
-  assert(Id < RTimelines.size() && "unknown region");
-  return RTimelines[Id];
+  assert(Id < Timelines.size() && "unknown region");
+  return Timelines[Id].R;
 }
 
 std::span<const LocalPhaseState>
 RegionMonitor::stateTimeline(RegionId Id) const {
   assert(Config.RecordTimelines && "timelines were not recorded");
-  assert(Id < StateTimelines.size() && "unknown region");
-  return StateTimelines[Id];
+  assert(Id < Timelines.size() && "unknown region");
+  return Timelines[Id].States;
 }
 
 REGMON_PURE void
 RegionMonitor::observeInterval(std::span<const Sample> Samples) {
   assert(!Samples.empty() && "an interval carries a full sample buffer");
 
-  // Fresh histograms for this interval.
-  for (RegionId Id = 0; Id < Regions.size(); ++Id)
-    if (Active[Id]) {
-      CurrHists[Id].reset();
-      CurrMissHists[Id].reset();
-    }
-
-  // Incremental engine: prime the per-region cross-moment accumulators
-  // and fetch each stable set's base pointer. Pointers are re-fetched
-  // every interval -- never cached across intervals -- because a
-  // checkpoint restore can reallocate a detector's stable-set buffer.
+  // Fresh histograms for this interval. Incremental engine: prime the
+  // cross-moment accumulators and fetch each stable set's base pointer.
+  // Pointers are re-fetched every interval -- never cached across
+  // intervals -- because a checkpoint restore can reallocate a detector's
+  // stable-set buffer.
   const bool Fast = IncrementalSimilarity;
   const bool FastMiss = Fast && Config.TrackMissPhases;
-  if (Fast) {
-    SxyAcc.assign(Regions.size(), 0);
-    StablePtrs.assign(Regions.size(), nullptr);
-    for (RegionId Id = 0; Id < Regions.size(); ++Id)
-      if (Active[Id])
-        StablePtrs[Id] = Detectors[Id]->stableSet().data();
-  }
-  if (FastMiss) {
-    MissSxyAcc.assign(Regions.size(), 0);
-    MissStablePtrs.assign(Regions.size(), nullptr);
-    for (RegionId Id = 0; Id < Regions.size(); ++Id)
-      if (Active[Id])
-        MissStablePtrs[Id] = MissDetectors[Id]->stableSet().data();
-  }
+  for (RegionState &RS : State)
+    if (RS.Active) {
+      RS.Curr.reset();
+      RS.CurrMiss.reset();
+      RS.Sxy = RS.MissSxy = 0;
+      if (Fast)
+        RS.Stable = RS.Detector->stableSet().data();
+      if (FastMiss)
+        RS.MissStable = RS.MissDetector->stableSet().data();
+    }
 
   // 1. Attribute every sample; unmatched samples belong to the UCR. Each
   // sample's lookup is issued one sample ahead: crediting hits branches on
@@ -277,7 +257,8 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
       continue;
     }
     for (RegionId Id : Hits) {
-      const std::ptrdiff_t Bin = CurrHists[Id].tryAddSampleAt(S.Pc);
+      RegionState &RS = State[Id];
+      const std::ptrdiff_t Bin = RS.Curr.tryAddSampleAt(S.Pc);
       if (Bin < 0) {
         // The attribution index said the PC falls inside this region but
         // the histogram's bounds disagree -- a corrupted PC or a hostile
@@ -286,19 +267,17 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
         continue;
       }
       if (Fast)
-        SxyAcc[Id] += StablePtrs[Id][Bin];
+        RS.Sxy += RS.Stable[Bin];
       if (S.DCacheMiss) {
         if (FastMiss) {
           // Same bounds as the cycle histogram, which just accepted the
           // PC, so the miss histogram cannot reject it.
-          const std::ptrdiff_t MissBin =
-              CurrMissHists[Id].tryAddSampleAt(S.Pc);
+          const std::ptrdiff_t MissBin = RS.CurrMiss.tryAddSampleAt(S.Pc);
           assert(MissBin >= 0 && "miss histogram disagrees on bounds");
           if (MissBin >= 0)
-            MissSxyAcc[Id] +=
-                MissStablePtrs[Id][static_cast<std::size_t>(MissBin)];
+            RS.MissSxy += RS.MissStable[static_cast<std::size_t>(MissBin)];
         } else {
-          CurrMissHists[Id].addSample(S.Pc);
+          RS.CurrMiss.addSample(S.Pc);
         }
       }
     }
@@ -323,31 +302,33 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
   // 2 start analyzing with the *next* interval (their histograms for this
   // one are empty).
   for (RegionId Id = 0; Id < Regions.size(); ++Id) {
-    if (!Active[Id])
+    RegionState &St = State[Id];
+    if (!St.Active)
       continue;
-    RegionStats &RS = Stats[Id];
+    RegionStats &RS = St.Stats;
+    LocalPhaseDetector &D = *St.Detector;
     ++RS.LifetimeIntervals;
-    const InstrHistogram &Curr = CurrHists[Id];
+    const InstrHistogram &Curr = St.Curr;
     if (!Curr.empty()) {
       ++RS.ActiveIntervals;
       RS.TotalSamples += Curr.total();
-      LastSampledInterval[Id] = Intervals;
+      St.LastSampledInterval = Intervals;
       if (!Undersampled) {
         if (Fast)
-          Detectors[Id]->observeMoments(Curr, SxyAcc[Id]);
+          D.observeMoments(Curr, St.Sxy);
         else
-          Detectors[Id]->observe(Curr.bins());
+          D.observe(Curr.bins());
         if (Obs) {
-          if (Detectors[Id]->lastObservationComparedR())
+          if (D.lastObservationComparedR())
             obs::addTo(Obs->SimilarityCompares);
-          obs::observeIn(Obs->PhaseR, Detectors[Id]->lastR());
-          const LocalPhaseState Now = Detectors[Id]->state();
-          if (Now != Detectors[Id]->stateBeforeLastObserve())
+          obs::observeIn(Obs->PhaseR, D.lastR());
+          const LocalPhaseState Now = D.state();
+          if (Now != D.stateBeforeLastObserve())
             obs::recordEvent(Obs->Tracer, phaseEntryKind(Now), Obs->Stream,
-                             Id, Intervals, Detectors[Id]->lastR());
+                             Id, Intervals, D.lastR());
         }
-        if (Detectors[Id]->lastObservationChangedPhase())
-          emit(Detectors[Id]->state() == LocalPhaseState::Stable
+        if (D.lastObservationChangedPhase())
+          emit(D.state() == LocalPhaseState::Stable
                    ? RegionEvent::Kind::BecameStable
                    : RegionEvent::Kind::BecameUnstable,
                Id);
@@ -357,36 +338,36 @@ RegionMonitor::observeInterval(std::span<const Sample> Samples) {
       // Miss counts are real samples, so they accrue even when degraded;
       // only the windowed feedback signal (which drives unpatch
       // decisions) is withheld from under-sampled evidence.
-      const InstrHistogram &Misses = CurrMissHists[Id];
+      const InstrHistogram &Misses = St.CurrMiss;
       RS.TotalMisses += Misses.total();
       if (!Undersampled)
-        RecentMiss[Id].add(static_cast<double>(Misses.total()) /
-                           static_cast<double>(Curr.total()));
+        St.RecentMiss.add(static_cast<double>(Misses.total()) /
+                          static_cast<double>(Curr.total()));
       if (!Misses.empty()) {
         std::span<const std::uint32_t> Bins = Misses.bins();
-        std::vector<std::uint64_t> &Cum = CumulativeMisses[Id];
         for (std::size_t Bin = 0; Bin < Bins.size(); ++Bin)
-          Cum[Bin] += Bins[Bin];
+          St.CumulativeMisses[Bin] += Bins[Bin];
       }
       if (!Undersampled && Config.TrackMissPhases && !Misses.empty()) {
+        LocalPhaseDetector &MD = *St.MissDetector;
         if (Fast)
-          MissDetectors[Id]->observeMoments(Misses, MissSxyAcc[Id]);
+          MD.observeMoments(Misses, St.MissSxy);
         else
-          MissDetectors[Id]->observe(Misses.bins());
-        RS.MissPhaseChanges = MissDetectors[Id]->phaseChanges();
-        if (MissDetectors[Id]->lastObservationChangedPhase() &&
-            !Detectors[Id]->lastObservationChangedPhase())
+          MD.observe(Misses.bins());
+        RS.MissPhaseChanges = MD.phaseChanges();
+        if (MD.lastObservationChangedPhase() &&
+            !D.lastObservationChangedPhase())
           emit(RegionEvent::Kind::MissPhaseChange, Id);
       }
     }
-    RS.PhaseChanges = Detectors[Id]->phaseChanges();
-    if (Detectors[Id]->state() == LocalPhaseState::Stable)
+    RS.PhaseChanges = D.phaseChanges();
+    if (D.state() == LocalPhaseState::Stable)
       ++RS.StableIntervals;
     if (Config.RecordTimelines) {
-      SampleTimelines[Id].push_back(
-          static_cast<std::uint32_t>(Curr.total()));
-      RTimelines[Id].push_back(Detectors[Id]->lastR());
-      StateTimelines[Id].push_back(Detectors[Id]->state());
+      RegionTimelines &T = Timelines[Id];
+      T.Samples.push_back(static_cast<std::uint32_t>(Curr.total()));
+      T.R.push_back(D.lastR());
+      T.States.push_back(D.state());
     }
   }
 
@@ -447,10 +428,7 @@ void RegionMonitor::triggerFormation(std::span<const Addr> UcrPcs) {
                      return A->Count > B->Count;
                    });
 
-  std::size_t ActiveCount = 0;
-  for (RegionId Id = 0; Id < Regions.size(); ++Id)
-    ActiveCount += Active[Id] ? 1 : 0;
-
+  std::size_t ActiveCount = activeRegionCount();
   std::size_t FormedNow = 0;
   for (const Candidate *C : Ranked) {
     if (FormedNow >= Config.MaxNewRegionsPerTrigger ||
@@ -464,56 +442,52 @@ void RegionMonitor::triggerFormation(std::span<const Addr> UcrPcs) {
     // samples within this same interval).
     const bool Duplicate = std::any_of(
         Regions.begin(), Regions.end(), [&](const Region &R) {
-          return Active[R.Id] && R.Start == C->Info.Start &&
+          return State[R.Id].Active && R.Start == C->Info.Start &&
                  R.End == C->Info.End;
         });
     if (Duplicate)
       continue;
 
-    const auto Id = static_cast<RegionId>(Regions.size());
-    Region R;
-    R.Id = Id;
-    R.Name = C->Info.Name;
-    R.Start = C->Info.Start;
-    R.End = C->Info.End;
-    R.FormedAtInterval = Intervals;
-    Regions.push_back(std::move(R));
-    Active.push_back(true);
-    CurrHists.emplace_back(C->Info.Start, C->Info.End);
-    CurrMissHists.emplace_back(C->Info.Start, C->Info.End);
-    Detectors.push_back(std::make_unique<LocalPhaseDetector>(
-        Regions.back().instrCount(), *Metric, Config.Lpd));
-    MissDetectors.push_back(
-        Config.TrackMissPhases
-            ? std::make_unique<LocalPhaseDetector>(
-                  Regions.back().instrCount(), *Metric, Config.Lpd)
-            : nullptr);
-    Stats.emplace_back();
-    LastSampledInterval.push_back(Intervals);
-    CumulativeMisses.emplace_back(Regions.back().instrCount(), 0);
-    RecentMiss.emplace_back(Config.MissWindowIntervals);
-    if (Config.RecordTimelines) {
-      SampleTimelines.emplace_back();
-      RTimelines.emplace_back();
-      StateTimelines.emplace_back();
-    }
+    addRegion({.Name = C->Info.Name,
+               .Start = C->Info.Start,
+               .End = C->Info.End,
+               .FormedAtInterval = Intervals});
     ++ActiveCount;
     ++FormedNow;
-    emit(RegionEvent::Kind::Formed, Id);
+    emit(RegionEvent::Kind::Formed, Regions.back().Id);
   }
   if (FormedNow > 0)
     rebuildIndex();
 }
 
+RegionMonitor::RegionState &RegionMonitor::addRegion(Region R) {
+  R.Id = static_cast<RegionId>(Regions.size());
+  const std::size_t Instrs = R.instrCount();
+  const auto NewDetector = [&] {
+    return std::make_unique<LocalPhaseDetector>(Instrs, *Metric, Config.Lpd);
+  };
+  State.push_back(RegionState{
+      .Curr = InstrHistogram(R.Start, R.End),
+      .CurrMiss = InstrHistogram(R.Start, R.End),
+      .Detector = NewDetector(),
+      .MissDetector = Config.TrackMissPhases ? NewDetector() : nullptr,
+      .LastSampledInterval = Intervals,
+      .CumulativeMisses = std::vector<std::uint64_t>(Instrs, 0),
+      .RecentMiss = WindowedStats(Config.MissWindowIntervals)});
+  if (Config.RecordTimelines)
+    Timelines.emplace_back();
+  Regions.push_back(std::move(R));
+  return State.back();
+}
+
 void RegionMonitor::pruneCold() {
   bool Retired = false;
   for (RegionId Id = 0; Id < Regions.size(); ++Id) {
-    if (!Active[Id])
+    RegionState &RS = State[Id];
+    if (!RS.Active ||
+        Intervals - RS.LastSampledInterval < Config.PruneAfterIdleIntervals)
       continue;
-    if (Intervals - LastSampledInterval[Id] <
-        Config.PruneAfterIdleIntervals)
-      continue;
-    Active[Id] = false;
+    RS.Active = false;
     Retired = true;
     emit(RegionEvent::Kind::Pruned, Id);
   }
@@ -528,7 +502,7 @@ void RegionMonitor::rebuildIndex() {
   // active regions already hold.
   std::vector<SegmentIndex::Interval> Live;
   for (RegionId Id = 0; Id < Regions.size(); ++Id)
-    if (Active[Id])
+    if (State[Id].Active)
       Live.push_back({Regions[Id].Start, Regions[Id].End, Id});
   Index.build(Live);
 }

@@ -275,6 +275,42 @@ private:
   /// the attribution index once a decode succeeds (persist/StateCodec.h).
   friend class persist::StateCodec;
 
+  /// Everything the monitor keeps for one region beside its \ref Region
+  /// (section 3.1-3.2: its own histogram, Fig. 12 detector and
+  /// statistics), indexed by RegionId like \ref Regions.
+  struct RegionState {
+    bool Active = true;
+    InstrHistogram Curr;
+    InstrHistogram CurrMiss;
+    std::unique_ptr<LocalPhaseDetector> Detector;
+    /// TrackMissPhases only (null otherwise).
+    std::unique_ptr<LocalPhaseDetector> MissDetector;
+    RegionStats Stats{};
+    std::uint64_t LastSampledInterval = 0;
+    std::vector<std::uint64_t> CumulativeMisses; // per bin
+    WindowedStats RecentMiss;
+    /// Incremental engine scratch, re-primed at each interval start: the
+    /// cross moment sum(prev_i * curr_i) accumulated as samples land, and
+    /// the stable-set base pointer it is accumulated against (re-fetched
+    /// each interval -- a checkpoint restore may reallocate a detector's
+    /// stable set).
+    std::uint64_t Sxy = 0;
+    std::uint64_t MissSxy = 0;
+    const std::uint32_t *Stable = nullptr;
+    const std::uint32_t *MissStable = nullptr;
+  };
+
+  /// RecordTimelines only: one region's per-interval series.
+  struct RegionTimelines {
+    std::vector<std::uint32_t> Samples;
+    std::vector<double> R;
+    std::vector<LocalPhaseState> States;
+  };
+
+  /// Appends \p R (its Id becomes the next RegionId) with fresh state, as
+  /// formed at the current interval. The only place a region's state is
+  /// built: formation uses it as is, a restore overwrites what it decodes.
+  RegionState &addRegion(Region R);
   void triggerFormation(std::span<const Addr> UcrPcs);
   void pruneCold();
   void rebuildIndex();
@@ -290,24 +326,13 @@ private:
   const obs::MonitorInstruments *Obs = nullptr;
 
   std::vector<Region> Regions;
-  std::vector<bool> Active;
-  std::vector<InstrHistogram> CurrHists;
-  std::vector<InstrHistogram> CurrMissHists;
-  std::vector<std::unique_ptr<LocalPhaseDetector>> Detectors;
-  std::vector<std::unique_ptr<LocalPhaseDetector>> MissDetectors;
-  std::vector<RegionStats> Stats;
+  std::vector<RegionState> State;
+  /// Parallel to Regions when RecordTimelines is on, empty otherwise.
+  std::vector<RegionTimelines> Timelines;
   /// Sample attribution: a flat segment table over the active regions
   /// (payload = RegionId, in id order). Derived state, rebuilt whenever
   /// the active set changes -- formation, retirement, reset, restore.
   SegmentIndex Index;
-  std::vector<std::uint64_t> LastSampledInterval;
-  std::vector<std::vector<std::uint64_t>> CumulativeMisses; // per bin
-  std::vector<WindowedStats> RecentMiss;
-
-  // Optional recorded timelines, parallel to Regions.
-  std::vector<std::vector<std::uint32_t>> SampleTimelines;
-  std::vector<std::vector<double>> RTimelines;
-  std::vector<std::vector<LocalPhaseState>> StateTimelines;
 
   std::vector<double> UcrHistory;
   std::uint64_t Intervals = 0;
@@ -321,17 +346,8 @@ private:
   /// metric supports moment evaluation.
   bool IncrementalSimilarity = false;
 
-  // Reused scratch buffers (hot path).
+  // Reused scratch buffer (hot path).
   std::vector<Addr> UcrScratch;
-  /// Incremental engine scratch, re-primed each interval: per-region
-  /// cross moments sum(prev_i * curr_i) accumulated as samples land, and
-  /// the stable-set base pointers they are accumulated against
-  /// (re-fetched each interval -- a checkpoint restore may reallocate a
-  /// detector's stable set).
-  std::vector<std::uint64_t> SxyAcc;
-  std::vector<std::uint64_t> MissSxyAcc;
-  std::vector<const std::uint32_t *> StablePtrs;
-  std::vector<const std::uint32_t *> MissStablePtrs;
 };
 
 } // namespace regmon::core

@@ -8,8 +8,6 @@
 
 #include "support/Types.h"
 
-#include <memory>
-
 using namespace regmon;
 using namespace regmon::persist;
 
@@ -173,18 +171,19 @@ void StateCodec::encode(ByteWriter &W, const core::RegionMonitor &M) {
   W.u32(static_cast<std::uint32_t>(M.Regions.size()));
   for (core::RegionId Id = 0; Id < M.Regions.size(); ++Id) {
     const core::Region &Reg = M.Regions[Id];
+    const core::RegionMonitor::RegionState &St = M.State[Id];
     W.str(Reg.Name);
     W.u64(Reg.Start);
     W.u64(Reg.End);
     W.u64(Reg.FormedAtInterval);
-    W.boolean(M.Active[Id]);
-    encode(W, M.CurrHists[Id]);
-    encode(W, M.CurrMissHists[Id]);
-    encode(W, *M.Detectors[Id]);
-    W.boolean(M.MissDetectors[Id] != nullptr);
-    if (M.MissDetectors[Id] != nullptr)
-      encode(W, *M.MissDetectors[Id]);
-    const core::RegionStats &RS = M.Stats[Id];
+    W.boolean(St.Active);
+    encode(W, St.Curr);
+    encode(W, St.CurrMiss);
+    encode(W, *St.Detector);
+    W.boolean(St.MissDetector != nullptr);
+    if (St.MissDetector != nullptr)
+      encode(W, *St.MissDetector);
+    const core::RegionStats &RS = St.Stats;
     W.u64(RS.LifetimeIntervals);
     W.u64(RS.StableIntervals);
     W.u64(RS.ActiveIntervals);
@@ -192,14 +191,15 @@ void StateCodec::encode(ByteWriter &W, const core::RegionMonitor &M) {
     W.u64(RS.TotalMisses);
     W.u64(RS.PhaseChanges);
     W.u64(RS.MissPhaseChanges);
-    W.u64(M.LastSampledInterval[Id]);
-    W.vecU64(M.CumulativeMisses[Id]);
-    encode(W, M.RecentMiss[Id]);
+    W.u64(St.LastSampledInterval);
+    W.vecU64(St.CumulativeMisses);
+    encode(W, St.RecentMiss);
     if (M.Config.RecordTimelines) {
-      W.vecU32(M.SampleTimelines[Id]);
-      W.vecF64(M.RTimelines[Id]);
-      W.u64(M.StateTimelines[Id].size());
-      for (core::LocalPhaseState S : M.StateTimelines[Id])
+      const core::RegionMonitor::RegionTimelines &T = M.Timelines[Id];
+      W.vecU32(T.Samples);
+      W.vecF64(T.R);
+      W.u64(T.States.size());
+      for (core::LocalPhaseState S : T.States)
         W.u8(static_cast<std::uint8_t>(S));
     }
   }
@@ -233,7 +233,6 @@ bool StateCodec::decode(ByteReader &R, core::RegionMonitor &M) {
 
   for (std::uint32_t Id = 0; Id < RegionCount; ++Id) {
     core::Region Reg;
-    Reg.Id = Id;
     if (!R.str(Reg.Name))
       return Reject();
     Reg.Start = R.u64();
@@ -244,42 +243,19 @@ bool StateCodec::decode(ByteReader &R, core::RegionMonitor &M) {
         Reg.End % InstrBytes != 0 ||
         (Reg.End - Reg.Start) / InstrBytes > MaxInstrsPerRegion)
       return Reject();
-    const std::uint64_t Instrs = (Reg.End - Reg.Start) / InstrBytes;
+    const std::uint64_t Instrs = Reg.instrCount();
 
-    // Construct the region's parallel state exactly as triggerFormation
-    // would, then decode into it. All parallel arrays grow together so a
-    // failure at any later field still leaves reset() a consistent view.
-    M.Regions.push_back(std::move(Reg));
-    const core::Region &Placed = M.Regions.back();
-    M.Active.push_back(IsActive);
-    M.CurrHists.emplace_back(Placed.Start, Placed.End);
-    M.CurrMissHists.emplace_back(Placed.Start, Placed.End);
-    M.Detectors.push_back(std::make_unique<core::LocalPhaseDetector>(
-        Instrs, *M.Metric, M.Config.Lpd));
-    M.MissDetectors.push_back(nullptr);
-    M.Stats.emplace_back();
-    M.LastSampledInterval.push_back(0);
-    M.CumulativeMisses.emplace_back();
-    M.RecentMiss.emplace_back(M.Config.MissWindowIntervals);
-    if (M.Config.RecordTimelines) {
-      M.SampleTimelines.emplace_back();
-      M.RTimelines.emplace_back();
-      M.StateTimelines.emplace_back();
-    }
-    if (!decode(R, M.CurrHists.back()) ||
-        !decode(R, M.CurrMissHists.back()) ||
-        !decode(R, *M.Detectors.back()))
+    // Build the region's state as formation would, then decode over it.
+    core::RegionMonitor::RegionState &St = M.addRegion(std::move(Reg));
+    St.Active = IsActive;
+    if (!decode(R, St.Curr) || !decode(R, St.CurrMiss) ||
+        !decode(R, *St.Detector))
       return Reject();
     const bool HasMissDetector = R.boolean();
-    if (!R.ok() || HasMissDetector != M.Config.TrackMissPhases)
+    if (!R.ok() || HasMissDetector != M.Config.TrackMissPhases ||
+        (HasMissDetector && !decode(R, *St.MissDetector)))
       return Reject();
-    if (HasMissDetector) {
-      M.MissDetectors.back() = std::make_unique<core::LocalPhaseDetector>(
-          Instrs, *M.Metric, M.Config.Lpd);
-      if (!decode(R, *M.MissDetectors.back()))
-        return Reject();
-    }
-    core::RegionStats &RS = M.Stats.back();
+    core::RegionStats &RS = St.Stats;
     RS.LifetimeIntervals = R.u64();
     RS.StableIntervals = R.u64();
     RS.ActiveIntervals = R.u64();
@@ -287,27 +263,25 @@ bool StateCodec::decode(ByteReader &R, core::RegionMonitor &M) {
     RS.TotalMisses = R.u64();
     RS.PhaseChanges = R.u64();
     RS.MissPhaseChanges = R.u64();
-    M.LastSampledInterval.back() = R.u64();
-    if (!R.vecU64(M.CumulativeMisses.back()) ||
-        M.CumulativeMisses.back().size() != Instrs)
+    St.LastSampledInterval = R.u64();
+    if (!R.vecU64(St.CumulativeMisses) || St.CumulativeMisses.size() != Instrs)
       return Reject();
-    if (!decode(R, M.RecentMiss.back(), M.Config.MissWindowIntervals) ||
-        M.RecentMiss.back().Cap != M.Config.MissWindowIntervals)
+    if (!decode(R, St.RecentMiss, M.Config.MissWindowIntervals) ||
+        St.RecentMiss.Cap != M.Config.MissWindowIntervals)
       return Reject();
     if (M.Config.RecordTimelines) {
-      if (!R.vecU32(M.SampleTimelines.back()) ||
-          !R.vecF64(M.RTimelines.back()))
+      core::RegionMonitor::RegionTimelines &T = M.Timelines.back();
+      if (!R.vecU32(T.Samples) || !R.vecF64(T.R))
         return Reject();
       const std::uint64_t States = R.u64();
       if (!R.ok() || States > R.remaining())
         return Reject();
-      auto &Timeline = M.StateTimelines.back();
-      Timeline.reserve(States);
-      for (std::uint64_t I = 0; I < States; ++I) {
-        const std::uint8_t S = R.u8();
-        if (S > 2)
+      T.States.resize(States);
+      for (core::LocalPhaseState &S : T.States) {
+        const std::uint8_t Raw = R.u8();
+        if (Raw > 2)
           return Reject();
-        Timeline.push_back(static_cast<core::LocalPhaseState>(S));
+        S = static_cast<core::LocalPhaseState>(Raw);
       }
       if (!R.ok())
         return Reject();

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Serializes the learned state of the monitoring stack -- region monitor
-/// (regions, interval-tree membership, per-region histograms and local
-/// phase machines), GPD centroid detector, and the RTO deployment ledger
-/// -- to the persist byte format and back.
+/// (regions, per-region histograms and local phase machines), GPD
+/// centroid detector, and the RTO deployment ledger -- to the persist
+/// byte format and back.
 ///
 /// Contract:
 ///

@@ -631,10 +631,13 @@ bool MonitorService::applyRecorded(SampleBatch Batch, RecordedFate Fate,
   case RecordedFate::Admitted:
     break;
   }
-  if (Persist && !JournalDead) {
+  if (Persist) {
     // Mirror submit()'s write-ahead: the original journaled this batch
     // before admission, so a replay that is itself persisted lands on
-    // the same journal sequence (encodeState compares bit-identical).
+    // the same journal sequence (encodeState compares bit-identical). A
+    // dead journal refuses the batch in submit(), so here it diverges.
+    if (JournalDead)
+      return false;
     persist::ByteWriter W;
     encodeBatch(W, Batch);
     if (!Persist->appendJournal(JournalSeq + 1, W.data()))

@@ -432,9 +432,10 @@ public:
   /// applied from the record: \p Dropped skips processing and counts a
   /// queue eviction, \p PushFailed reproduces the rejected-push
   /// accounting. Returns false on divergence (the health machine chose
-  /// differently than the recording, an unknown stream, or a journal
-  /// append failure in the replay environment) -- the caller stops
-  /// replay there.
+  /// differently than the recording, an unknown stream, or a replay
+  /// environment that cannot journal the batch: a failed append or a
+  /// journal already latched dead, e.g. by a restore that refused a
+  /// foreign journal.wal) -- the caller stops replay there.
   bool applyRecorded(SampleBatch Batch, RecordedFate Fate, bool Dropped,
                      bool PushFailed);
 

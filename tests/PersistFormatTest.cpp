@@ -263,10 +263,14 @@ TEST(PersistSnapshot, ErrorTaxonomy) {
   EXPECT_EQ(decodeSnapshot(Mutated, Out), SnapshotError::BadMagic);
   EXPECT_TRUE(Out.empty());
 
-  // UnsupportedVersion: a schema this build has no migration path for.
-  const std::vector<std::uint8_t> Future =
-      encodeSnapshot(sampleSections(), /*Version=*/999);
-  EXPECT_EQ(decodeSnapshot(Future, Out), SnapshotError::UnsupportedVersion);
+  // UnsupportedVersion: any schema but SnapshotVersion, older or newer.
+  for (std::uint32_t Version : {0U, 999U}) {
+    const std::vector<std::uint8_t> Other =
+        encodeSnapshot(sampleSections(), Version);
+    EXPECT_EQ(decodeSnapshot(Other, Out), SnapshotError::UnsupportedVersion)
+        << "version " << Version;
+    EXPECT_TRUE(Out.empty()) << "version " << Version;
+  }
 
   // SectionLimit: a corrupt count field must not buy a long parse loop.
   {
@@ -334,57 +338,6 @@ TEST(PersistSnapshotFuzz, EveryBitFlipRejected) {
       EXPECT_TRUE(Out.empty()) << "offset " << Off << " bit " << Bit;
     }
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Migrations
-//===----------------------------------------------------------------------===//
-
-bool upgradeV0(std::vector<SnapshotSection> &Sections) {
-  // A v0 -> v1 shim for the test: tag every section id.
-  for (SnapshotSection &S : Sections)
-    S.Id += 100;
-  return true;
-}
-bool identityHook(std::vector<SnapshotSection> &) { return true; }
-bool failingHook(std::vector<SnapshotSection> &) { return false; }
-
-TEST(PersistSnapshotMigration, ChainWalksOldSchemaForward) {
-  const SnapshotMigration Chain[] = {
-      {0, 1, &upgradeV0},
-      {1, 1, &identityHook},
-  };
-  const std::vector<std::uint8_t> Old =
-      encodeSnapshot(sampleSections(), /*Version=*/0);
-  std::vector<SnapshotSection> Out;
-  ASSERT_EQ(decodeSnapshot(Old, Out, Chain), SnapshotError::None);
-  ASSERT_EQ(Out.size(), 3U);
-  EXPECT_EQ(Out[0].Id, 101U); // upgraded
-  EXPECT_EQ(Out[1].Id, 102U);
-}
-
-TEST(PersistSnapshotMigration, FailingHookReportsMigrationFailed) {
-  const SnapshotMigration Chain[] = {
-      {0, 1, &failingHook},
-      {1, 1, &identityHook},
-  };
-  const std::vector<std::uint8_t> Old =
-      encodeSnapshot(sampleSections(), /*Version=*/0);
-  std::vector<SnapshotSection> Out;
-  EXPECT_EQ(decodeSnapshot(Old, Out, Chain), SnapshotError::MigrationFailed);
-  EXPECT_TRUE(Out.empty());
-}
-
-TEST(PersistSnapshotMigration, CyclicChainRejectedNotLooped) {
-  const SnapshotMigration Chain[] = {
-      {5, 6, &identityHook},
-      {6, 5, &identityHook},
-  };
-  const std::vector<std::uint8_t> Old =
-      encodeSnapshot(sampleSections(), /*Version=*/5);
-  std::vector<SnapshotSection> Out;
-  EXPECT_EQ(decodeSnapshot(Old, Out, Chain),
-            SnapshotError::UnsupportedVersion);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1028,46 +981,91 @@ struct RecordedStream {
   std::vector<std::vector<Sample>> Intervals;
 };
 
-RecordedStream record(const std::string &Name, std::uint64_t Seed) {
+RecordedStream record(const std::string &Name, std::uint64_t Seed,
+                      std::size_t MaxIntervals = SIZE_MAX) {
   RecordedStream S;
   S.W = std::make_unique<workloads::Workload>(workloads::make(Name));
   S.Map = std::make_unique<sim::ProgramCodeMap>(S.W->Prog);
   sim::Engine Engine(S.W->Prog, S.W->Script, Seed);
   sampling::Sampler Sampler(Engine, {45'000, 2032});
-  S.Intervals = Sampler.collectIntervals();
+  S.Intervals = Sampler.collectIntervals(MaxIntervals);
   return S;
 }
 
+/// Compares what the encoded bytes say about each region through the
+/// monitor's own accessors: membership and, when recorded, the timelines.
+void expectSameRegionRecords(const core::RegionMonitor &Copy,
+                             const core::RegionMonitor &Orig) {
+  ASSERT_EQ(Copy.regions().size(), Orig.regions().size());
+  const auto Vec = [](auto Span) {
+    return std::vector(Span.begin(), Span.end());
+  };
+  for (core::RegionId Id = 0; Id < Orig.regions().size(); ++Id) {
+    SCOPED_TRACE("region " + std::to_string(Id));
+    EXPECT_EQ(Copy.isActive(Id), Orig.isActive(Id));
+    if (!Orig.config().RecordTimelines)
+      continue;
+    EXPECT_EQ(Vec(Copy.sampleTimeline(Id)), Vec(Orig.sampleTimeline(Id)));
+    EXPECT_EQ(Vec(Copy.rTimeline(Id)), Vec(Orig.rTimeline(Id)));
+    EXPECT_EQ(Vec(Copy.stateTimeline(Id)), Vec(Orig.stateTimeline(Id)));
+  }
+}
+
+// Swept over every optional part of a region's record: the miss-channel
+// detector, the recorded timelines, and regions retired before the split
+// (176.gcc's working set churns: with a 2-interval idle limit half of its
+// first 64 regions have retired by interval 20).
 TEST(PersistStateCodec, RegionMonitorBitIdenticalRoundTripAndContinuation) {
-  const RecordedStream S = record("synthetic.periodic", 7);
-  ASSERT_GT(S.Intervals.size(), 8U);
-
-  core::RegionMonitorConfig Cfg;
-  Cfg.TrackMissPhases = true; // exercise the miss-phase arrays too
-  core::RegionMonitor Orig(*S.Map, Cfg);
+  const RecordedStream S = record("176.gcc", 7, /*MaxIntervals=*/40);
+  ASSERT_EQ(S.Intervals.size(), 40U);
   const std::size_t Half = S.Intervals.size() / 2;
-  for (std::size_t I = 0; I < Half; ++I)
-    Orig.observeInterval(S.Intervals[I]);
-  ASSERT_FALSE(Orig.regions().empty()) << "stream formed no regions";
 
-  const std::vector<std::uint8_t> Bytes = encodeBytes(Orig);
-  core::RegionMonitor Copy(*S.Map, Cfg);
-  {
-    ByteReader R(Bytes);
-    ASSERT_TRUE(StateCodec::decode(R, Copy));
-    EXPECT_TRUE(R.atEnd());
-  }
-  EXPECT_EQ(encodeBytes(Copy), Bytes);
+  struct Variant {
+    const char *Name;
+    bool TrackMissPhases;
+    bool RecordTimelines;
+    bool PruneColdRegions;
+  };
+  for (const Variant &V : {Variant{"miss-phases", true, false, false},
+                           Variant{"timelines", false, true, false},
+                           Variant{"prune-cold", false, false, true},
+                           Variant{"all", true, true, true}}) {
+    SCOPED_TRACE(V.Name);
+    core::RegionMonitorConfig Cfg;
+    Cfg.TrackMissPhases = V.TrackMissPhases;
+    Cfg.RecordTimelines = V.RecordTimelines;
+    Cfg.PruneColdRegions = V.PruneColdRegions;
+    Cfg.PruneAfterIdleIntervals = 2;
+    core::RegionMonitor Orig(*S.Map, Cfg);
+    for (std::size_t I = 0; I < Half; ++I)
+      Orig.observeInterval(S.Intervals[I]);
+    ASSERT_FALSE(Orig.regions().empty()) << "stream formed no regions";
+    if (V.PruneColdRegions) {
+      ASSERT_LT(Orig.activeRegionCount(), Orig.regions().size())
+          << "no region retired before the split";
+    }
 
-  // Continuation over the second half must match the uninterrupted run
-  // byte for byte -- the warm-restart guarantee at monitor granularity.
-  for (std::size_t I = Half; I < S.Intervals.size(); ++I) {
-    Orig.observeInterval(S.Intervals[I]);
-    Copy.observeInterval(S.Intervals[I]);
+    const std::vector<std::uint8_t> Bytes = encodeBytes(Orig);
+    core::RegionMonitor Copy(*S.Map, Cfg);
+    {
+      ByteReader R(Bytes);
+      ASSERT_TRUE(StateCodec::decode(R, Copy));
+      EXPECT_TRUE(R.atEnd());
+    }
+    EXPECT_EQ(encodeBytes(Copy), Bytes);
+    expectSameRegionRecords(Copy, Orig);
+
+    // Continuation over the second half must match the uninterrupted run
+    // byte for byte -- the warm-restart guarantee at monitor granularity.
+    for (std::size_t I = Half; I < S.Intervals.size(); ++I) {
+      Orig.observeInterval(S.Intervals[I]);
+      Copy.observeInterval(S.Intervals[I]);
+    }
+    EXPECT_EQ(encodeBytes(Copy), encodeBytes(Orig));
+    EXPECT_EQ(Copy.totalPhaseChanges(), Orig.totalPhaseChanges());
+    EXPECT_EQ(Copy.intervals(), Orig.intervals());
+    expectSameRegionRecords(Copy, Orig);
   }
-  EXPECT_EQ(encodeBytes(Copy), encodeBytes(Orig));
-  EXPECT_EQ(Copy.totalPhaseChanges(), Orig.totalPhaseChanges());
-  EXPECT_EQ(Copy.intervals(), Orig.intervals());
 }
 
 TEST(PersistStateCodec, RegionMonitorRejectsTruncationAndResets) {

@@ -20,6 +20,7 @@
 
 #include "TraceScenarios.h"
 
+#include "persist/Bytes.h"
 #include "persist/Io.h"
 
 #include <gtest/gtest.h>
@@ -334,6 +335,40 @@ TEST(TraceReplay, ReplayedCheckpointRestoresBitIdenticalState) {
       << "replay left nothing durable";
   EXPECT_EQ(Service.encodeState(), Rec.FinalState)
       << "restored state diverged (" << service::toString(Outcome) << ")";
+}
+
+// Replay into a directory holding another writer's journal.wal: restore
+// refuses that journal and latches it dead, so -- as submit() would
+// refuse the batch -- replay diverges at the first batch record instead
+// of processing batches it cannot make durable. The foreign file keeps
+// every byte.
+TEST(TraceReplay, DeadJournalDivergesAtTheFirstBatch) {
+  const std::string Name = "checkpoint-restore-mid-trace";
+  const std::string Trace = scratchTrace("deadj");
+  const RecordOutcome Rec =
+      recordScenario(Name, Trace, scratchDir("deadj_rec"));
+  ASSERT_TRUE(Rec.Open.Ok);
+
+  const std::string RepDir = scratchDir("deadj_rep");
+  persist::ByteWriter W;
+  W.u32(0x4C4F4746U); // 'FGOL': some other log
+  W.u32(persist::JournalFormat.Version);
+  W.str("not a regmon journal");
+  const std::vector<std::uint8_t> Foreign = W.take();
+  {
+    persist::FileSink Sink(RepDir + "/journal.wal", /*Append=*/false, nullptr);
+    ASSERT_TRUE(Sink.write(Foreign));
+    ASSERT_TRUE(Sink.close());
+  }
+
+  const ReplayOutcome Rep = replayScenario(Name, Trace, RepDir);
+  EXPECT_FALSE(Rep.File.Replay.Ok);
+  EXPECT_TRUE(Rep.File.Replay.Diverged);
+  EXPECT_EQ(Rep.File.Replay.DivergedSeq, 2U); // seq 1 is the Config record
+  EXPECT_EQ(Rep.File.Replay.BatchesApplied, 0U);
+  EXPECT_EQ(Rep.Snap.BatchesProcessed, 0U);
+  EXPECT_EQ(Rep.File.Replay.CheckpointsApplied, 0U);
+  EXPECT_EQ(persist::readFileBytes(RepDir + "/journal.wal"), Foreign);
 }
 
 } // namespace
