@@ -49,10 +49,9 @@ void RegionMonitor::setEventHandler(EventHandler H) {
 void RegionMonitor::attachObservability(const obs::MonitorInstruments *O) {
   Obs = O;
   if (Obs)
-    // Configure-time constant (0 = scalar, 1 = auto): identical whichever
-    // engine runs, so exports stay byte-stable across engines.
-    obs::setGauge(Obs->HotpathKernel,
-                  static_cast<double>(hotpathKernelId()));
+    // Always 1 ("auto", the one kernel): the gauge stays in the metric
+    // catalogue so exports keep their bytes.
+    obs::setGauge(Obs->HotpathKernel, 1.0);
   if (Obs && SimilarityFellBack) {
     obs::addTo(Obs->SimilarityFallbacks);
     obs::recordEvent(Obs->Tracer, obs::EventKind::SimilarityFallback,

@@ -77,8 +77,8 @@ struct MonitorInstruments {
   Counter *SimilarityCompares = nullptr;
   Gauge *ActiveRegions = nullptr;
   Gauge *LastUcrFraction = nullptr;
-  /// Configure-time hot-path kernel selection: 0 = scalar, 1 = auto
-  /// (support/HotpathKernels.h).
+  /// Hot-path kernel id (support/HotpathKernels.h): always 1 ("auto").
+  /// Its help text keeps naming 0 = scalar: exports are byte-pinned.
   Gauge *HotpathKernel = nullptr;
   BucketHistogram *IntervalSamples = nullptr;
   BucketHistogram *PhaseR = nullptr;

@@ -34,6 +34,66 @@ std::uint64_t mix64(std::uint64_t X) {
 constexpr std::uint32_t MetaSectionId = 1;
 constexpr std::uint32_t StreamSectionId = 2;
 
+/// The configuration admission decisions depend on: overflow policy,
+/// validation switch and health-machine tuning. Written into both the
+/// trace's config fingerprint and a snapshot's meta section; decodeState
+/// compares the meta bytes against this writer's output.
+void writeAdmissionConfig(persist::ByteWriter &W, const ServiceConfig &C) {
+  W.u8(static_cast<std::uint8_t>(C.Policy));
+  W.boolean(C.ValidateBatches);
+  W.u32(C.Health.PoisonQuarantineThreshold);
+  W.u64(C.Health.QuarantineBaseBatches);
+  W.u64(C.Health.QuarantineMaxBatches);
+  W.u32(C.Health.RecoveryCleanBatches);
+}
+
+/// Visits the per-stream counters a snapshot's stream section carries
+/// between the shard index and the controller payload, in wire order:
+/// 8 x u64, u8 health, 5 x u64, 2 x u32, 2 x u64. Encode, decode and
+/// reset all walk this one list.
+template <typename StreamStateT, typename Fn>
+void forEachPersistedCounter(StreamStateT &St, Fn &&Visit) {
+  Visit(St.BatchesProcessed);
+  Visit(St.IntervalsProcessed);
+  Visit(St.PhaseChanges);
+  Visit(St.FormationTriggers);
+  Visit(St.RegionsFormed);
+  Visit(St.ActiveRegions);
+  Visit(St.TotalSamples);
+  Visit(St.UcrSamples);
+  Visit(St.Health);
+  Visit(St.PoisonedBatches);
+  Visit(St.QuarantinedBatches);
+  Visit(St.TimesQuarantined);
+  Visit(St.Readmissions);
+  Visit(St.QuarantineEpisodes);
+  Visit(St.ConsecutivePoisoned);
+  Visit(St.CleanStreak);
+  Visit(St.Backoff);
+  Visit(St.QuarantineRejections);
+}
+
+void writeCounter(persist::ByteWriter &W, std::uint64_t V) { W.u64(V); }
+void writeCounter(persist::ByteWriter &W, std::uint32_t V) { W.u32(V); }
+void writeCounter(persist::ByteWriter &W, StreamHealth V) {
+  W.u8(static_cast<std::uint8_t>(V));
+}
+
+void readCounter(persist::ByteReader &R, std::atomic<std::uint64_t> &A) {
+  A.store(R.u64(), std::memory_order_relaxed);
+}
+void readCounter(persist::ByteReader &R, std::atomic<std::uint32_t> &A) {
+  A.store(R.u32(), std::memory_order_relaxed);
+}
+/// A health byte outside the enum fails the reader.
+void readCounter(persist::ByteReader &R, std::atomic<StreamHealth> &A) {
+  const std::uint8_t H = R.u8();
+  if (H > static_cast<std::uint8_t>(StreamHealth::Recovering))
+    R.fail();
+  else
+    A.store(static_cast<StreamHealth>(H), std::memory_order_relaxed);
+}
+
 } // namespace
 
 void regmon::service::encodeBatch(persist::ByteWriter &W,
@@ -208,46 +268,21 @@ bool MonitorService::submit(SampleBatch Batch) {
   Shard &S = *Shards[St.Shard];
   // A batch arriving after stop() is refused at the door without
   // advancing the stream's health: a closed queue says nothing about the
-  // collector's behaviour.
-  if (S.Queue.closed()) {
+  // collector's behaviour. A batch that cannot be made durable is refused,
+  // not processed: accepting it would let a crash silently lose
+  // acknowledged work.
+  const bool Closed = S.Queue.closed();
+  if (Closed || !journal(Batch)) {
     Rejected.fetch_add(1, std::memory_order_relaxed);
     obs::addTo(ObsRejected);
-    recordFate(Batch, RecordedFate::DoorRejected);
+    recordFate(Batch, Closed ? RecordedFate::DoorRejected
+                             : RecordedFate::JournalRejected);
     return false;
   }
-  if (Persist) {
-    // Write-ahead: journal before admission, so recovery re-runs the
-    // same admission logic over the same per-stream sequence and lands
-    // on the same health decisions. The mutex makes the journal's
-    // global record order a real submission order across streams.
-    std::lock_guard<std::mutex> Lock(JournalMutex);
-    bool Durable = !JournalDead;
-    if (Durable) {
-      persist::ByteWriter W;
-      encodeBatch(W, Batch);
-      Durable = Persist->appendJournal(JournalSeq + 1, W.data());
-    }
-    if (!Durable) {
-      // A batch that cannot be made durable is refused, not processed:
-      // accepting it would let a crash silently lose acknowledged work.
-      JournalDead = true;
-      Rejected.fetch_add(1, std::memory_order_relaxed);
-      obs::addTo(ObsRejected);
-      recordFate(Batch, RecordedFate::JournalRejected);
-      return false;
-    }
-    ++JournalSeq;
-  }
-  if (Config.ValidateBatches &&
-      !admit(St, structurallyValid(Batch.Samples))) {
+  if (!admit(St, Batch)) {
     recordFate(Batch, RecordedFate::Refused);
     return false;
   }
-  // Stamp the post-admission health into the batch for the worker-side
-  // adaptive controller. Read here -- under the per-stream submit
-  // serialization -- it is a pure function of the stream's admitted
-  // sequence; read on the worker it would race later submissions.
-  Batch.AdmitHealth = St.Health.load(std::memory_order_relaxed);
   // Record the admission before the batch can move (push or process), so
   // the stamped sequence is available to later drop/push-reject records.
   // Per-stream record order equals per-stream admission order (the
@@ -255,16 +290,7 @@ bool MonitorService::submit(SampleBatch Batch) {
   // order applyRecorded re-runs the health machine in.
   recordFate(Batch, RecordedFate::Admitted);
   if (Config.Inline) {
-    // Worker-less mode: the submitting thread is the worker. Mirror the
-    // dequeue path exactly (hook, process, shard accounting) so every
-    // counter an embedding reads means the same thing in both modes.
-    Submitted.fetch_add(1, std::memory_order_relaxed);
-    obs::addTo(ObsSubmitted);
-    if (WorkerHook)
-      WorkerHook(St.Shard, Batch);
-    process(Batch);
-    Shards[St.Shard]->BatchesProcessed.fetch_add(1,
-                                                 std::memory_order_relaxed);
+    processHere(St, Batch);
     return true;
   }
   // Count before pushing: once the push lands, a worker may process the
@@ -302,92 +328,95 @@ void MonitorService::recordFate(SampleBatch &Batch, RecordedFate Fate) {
   Batch.TraceSeq = Recorder->recordBatch(Batch, Fate);
 }
 
-bool MonitorService::admit(StreamState &St, bool Valid) {
-  // Serialized per stream (see submit()); plain relaxed loads/stores are
-  // enough, atomics only keep concurrent snapshot readers tear-free.
-  // The admission count is the logical clock stamped on health events:
-  // replay re-runs the same decisions, so it reproduces the same stamps.
-  const auto Clock =
-      St.AdmissionClock.fetch_add(1, std::memory_order_relaxed) + 1;
-  const auto H = St.Health.load(std::memory_order_relaxed);
-  const auto CleanTo = [&](StreamHealth Next) {
-    const auto Streak =
-        St.CleanStreak.load(std::memory_order_relaxed) + 1;
-    if (Streak >= Config.Health.RecoveryCleanBatches) {
-      St.CleanStreak.store(0, std::memory_order_relaxed);
-      St.ConsecutivePoisoned.store(0, std::memory_order_relaxed);
-      // A full recovery also forgives the past: the next quarantine
-      // starts from the base backoff again.
-      St.QuarantineEpisodes.store(0, std::memory_order_relaxed);
-      St.Health.store(StreamHealth::Healthy, std::memory_order_relaxed);
-      obs::addTo(ObsRecoveries);
-      obs::recordEvent(ObsTracer, obs::EventKind::StreamRecovered, St.Id, 0,
-                       Clock, static_cast<double>(Streak));
-    } else {
-      St.CleanStreak.store(Streak, std::memory_order_relaxed);
-      St.Health.store(Next, std::memory_order_relaxed);
-    }
-  };
-
-  switch (H) {
-  case StreamHealth::Healthy:
-    if (Valid)
-      return true;
-    St.PoisonedBatches.fetch_add(1, std::memory_order_relaxed);
-    obs::addTo(ObsPoisoned);
-    St.ConsecutivePoisoned.store(1, std::memory_order_relaxed);
-    St.CleanStreak.store(0, std::memory_order_relaxed);
-    if (1 >= Config.Health.PoisonQuarantineThreshold)
-      quarantine(St);
-    else
-      St.Health.store(StreamHealth::Degraded, std::memory_order_relaxed);
+bool MonitorService::journal(const SampleBatch &Batch) {
+  if (!Persist)
+    return true;
+  // Write-ahead: journal before admission, so recovery re-runs the same
+  // admission logic over the same per-stream sequence and lands on the
+  // same health decisions. The mutex makes the journal's global record
+  // order a real submission order across streams.
+  std::lock_guard<std::mutex> Lock(JournalMutex);
+  if (JournalDead)
     return false;
-
-  case StreamHealth::Degraded:
-    if (Valid) {
-      CleanTo(StreamHealth::Degraded);
-      return true;
-    }
-    St.PoisonedBatches.fetch_add(1, std::memory_order_relaxed);
-    obs::addTo(ObsPoisoned);
-    St.CleanStreak.store(0, std::memory_order_relaxed);
-    if (St.ConsecutivePoisoned.fetch_add(1, std::memory_order_relaxed) + 1 >=
-        Config.Health.PoisonQuarantineThreshold)
-      quarantine(St);
+  persist::ByteWriter W;
+  encodeBatch(W, Batch);
+  if (!Persist->appendJournal(JournalSeq + 1, W.data())) {
+    JournalDead = true;
     return false;
+  }
+  ++JournalSeq;
+  return true;
+}
 
-  case StreamHealth::Quarantined: {
-    const auto Sat = St.QuarantineRejections.load(std::memory_order_relaxed);
-    if (Sat < St.Backoff.load(std::memory_order_relaxed)) {
-      St.QuarantineRejections.store(Sat + 1, std::memory_order_relaxed);
-      St.QuarantinedBatches.fetch_add(1, std::memory_order_relaxed);
+bool MonitorService::admit(StreamState &St, SampleBatch &Batch) {
+  if (Config.ValidateBatches) {
+    // Serialized per stream (see submit()); plain relaxed loads/stores
+    // are enough, atomics only keep concurrent snapshot readers
+    // tear-free. The admission count is the logical clock stamped on
+    // health events: replay re-runs the same decisions, so it reproduces
+    // the same stamps.
+    const auto Clock =
+        St.AdmissionClock.fetch_add(1, std::memory_order_relaxed) + 1;
+    const auto H = St.Health.load(std::memory_order_relaxed);
+    if (H == StreamHealth::Quarantined) {
+      const auto Sat = St.QuarantineRejections.load(std::memory_order_relaxed);
+      if (Sat < St.Backoff.load(std::memory_order_relaxed)) {
+        St.QuarantineRejections.store(Sat + 1, std::memory_order_relaxed);
+        St.QuarantinedBatches.fetch_add(1, std::memory_order_relaxed);
+        return false;
+      }
+      // Backoff served: this batch is the probe.
+      St.Readmissions.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (!structurallyValid(Batch.Samples)) {
+      St.PoisonedBatches.fetch_add(1, std::memory_order_relaxed);
+      obs::addTo(ObsPoisoned);
+      // A poisoned probe or a relapse on probation re-quarantines at
+      // once; otherwise the poison run grows (a healthy stream starts
+      // one) and quarantines at the threshold.
+      const std::uint32_t Run =
+          H == StreamHealth::Degraded
+              ? St.ConsecutivePoisoned.load(std::memory_order_relaxed) + 1
+              : 1;
+      if (H == StreamHealth::Quarantined || H == StreamHealth::Recovering ||
+          Run >= Config.Health.PoisonQuarantineThreshold) {
+        quarantine(St);
+      } else {
+        St.ConsecutivePoisoned.store(Run, std::memory_order_relaxed);
+        St.CleanStreak.store(0, std::memory_order_relaxed);
+        St.Health.store(StreamHealth::Degraded, std::memory_order_relaxed);
+      }
       return false;
     }
-    // Backoff served: this batch is the probe.
-    St.Readmissions.fetch_add(1, std::memory_order_relaxed);
-    if (Valid) {
+    if (H == StreamHealth::Quarantined) {
+      // A valid probe starts probation with a one-batch clean streak.
       St.ConsecutivePoisoned.store(0, std::memory_order_relaxed);
       St.CleanStreak.store(1, std::memory_order_relaxed);
       St.Health.store(StreamHealth::Recovering, std::memory_order_relaxed);
-      return true;
+    } else if (H != StreamHealth::Healthy) {
+      const auto Streak =
+          St.CleanStreak.load(std::memory_order_relaxed) + 1;
+      if (Streak >= Config.Health.RecoveryCleanBatches) {
+        St.CleanStreak.store(0, std::memory_order_relaxed);
+        St.ConsecutivePoisoned.store(0, std::memory_order_relaxed);
+        // A full recovery also forgives the past: the next quarantine
+        // starts from the base backoff again.
+        St.QuarantineEpisodes.store(0, std::memory_order_relaxed);
+        St.Health.store(StreamHealth::Healthy, std::memory_order_relaxed);
+        obs::addTo(ObsRecoveries);
+        obs::recordEvent(ObsTracer, obs::EventKind::StreamRecovered, St.Id,
+                         0, Clock, static_cast<double>(Streak));
+      } else {
+        St.CleanStreak.store(Streak, std::memory_order_relaxed);
+      }
     }
-    St.PoisonedBatches.fetch_add(1, std::memory_order_relaxed);
-    obs::addTo(ObsPoisoned);
-    quarantine(St);
-    return false;
   }
-
-  case StreamHealth::Recovering:
-    if (Valid) {
-      CleanTo(StreamHealth::Recovering);
-      return true;
-    }
-    St.PoisonedBatches.fetch_add(1, std::memory_order_relaxed);
-    obs::addTo(ObsPoisoned);
-    quarantine(St);
-    return false;
-  }
-  return false;
+  // Stamp the post-admission health into the batch for the worker-side
+  // adaptive controller. Read here -- under the per-stream submit
+  // serialization -- it is a pure function of the stream's admitted
+  // sequence; read on the worker it would race later submissions.
+  Batch.AdmitHealth = St.Health.load(std::memory_order_relaxed);
+  return true;
 }
 
 void MonitorService::quarantine(StreamState &St) {
@@ -405,6 +434,18 @@ void MonitorService::quarantine(StreamState &St) {
   obs::recordEvent(ObsTracer, obs::EventKind::StreamQuarantined, St.Id, 0,
                    St.AdmissionClock.load(std::memory_order_relaxed),
                    static_cast<double>(Served));
+}
+
+void MonitorService::processHere(StreamState &St, const SampleBatch &Batch) {
+  // The calling thread is the worker: mirror the dequeue path exactly
+  // (hook, process, shard accounting) so every counter an embedding reads
+  // means the same thing with and without workers.
+  Submitted.fetch_add(1, std::memory_order_relaxed);
+  obs::addTo(ObsSubmitted);
+  if (WorkerHook)
+    WorkerHook(St.Shard, Batch);
+  process(Batch);
+  Shards[St.Shard]->BatchesProcessed.fetch_add(1, std::memory_order_relaxed);
 }
 
 void MonitorService::workerLoop(Shard &S) {
@@ -456,10 +497,7 @@ void MonitorService::process(const SampleBatch &Batch) {
     F.UcrFraction = Monitor.lastUcrFraction();
     F.Healthy = Batch.AdmitHealth == StreamHealth::Healthy;
     const sampling::AdaptiveDecision Decision = Ctl.observe(F);
-    St.PeriodScaleLog2.store(Ctl.scaleLog2(), std::memory_order_relaxed);
-    St.SamplesSaved.store(Ctl.samplesSaved(), std::memory_order_relaxed);
-    St.CtlLengthens.store(Ctl.lengthens(), std::memory_order_relaxed);
-    St.CtlTightens.store(Ctl.tightens(), std::memory_order_relaxed);
+    publishController(St);
     obs::addTo(St.Instruments.SamplingSamplesSaved,
                Ctl.samplesSaved() - SavedBefore);
     obs::setGauge(St.Instruments.SamplingPeriodCurrent,
@@ -481,6 +519,14 @@ void MonitorService::process(const SampleBatch &Batch) {
   // Release-publish the batch count last so a snapshot that observes it
   // also observes this batch's other counters.
   St.BatchesProcessed.fetch_add(1, std::memory_order_release);
+}
+
+void MonitorService::publishController(StreamState &St) {
+  const sampling::AdaptiveController &Ctl = St.Controller;
+  St.PeriodScaleLog2.store(Ctl.scaleLog2(), std::memory_order_relaxed);
+  St.SamplesSaved.store(Ctl.samplesSaved(), std::memory_order_relaxed);
+  St.CtlLengthens.store(Ctl.lengthens(), std::memory_order_relaxed);
+  St.CtlTightens.store(Ctl.tightens(), std::memory_order_relaxed);
 }
 
 ServiceSnapshot MonitorService::snapshot() const {
@@ -596,12 +642,7 @@ std::vector<std::uint8_t> MonitorService::configFingerprint() const {
   persist::ByteWriter W;
   W.u64(Config.Workers);
   W.u64(Config.QueueCapacity);
-  W.u8(static_cast<std::uint8_t>(Config.Policy));
-  W.boolean(Config.ValidateBatches);
-  W.u32(Config.Health.PoisonQuarantineThreshold);
-  W.u64(Config.Health.QuarantineBaseBatches);
-  W.u64(Config.Health.QuarantineMaxBatches);
-  W.u32(Config.Health.RecoveryCleanBatches);
+  writeAdmissionConfig(W, Config);
   W.u32(static_cast<std::uint32_t>(Streams.size()));
   // The adaptive config is deliberately absent: controller output is an
   // advisory period recommendation that never feeds back into admission,
@@ -631,28 +672,19 @@ bool MonitorService::applyRecorded(SampleBatch Batch, RecordedFate Fate,
   case RecordedFate::Admitted:
     break;
   }
-  if (Persist) {
-    // Mirror submit()'s write-ahead: the original journaled this batch
-    // before admission, so a replay that is itself persisted lands on
-    // the same journal sequence (encodeState compares bit-identical). A
-    // dead journal refuses the batch in submit(), so here it diverges.
-    if (JournalDead)
-      return false;
-    persist::ByteWriter W;
-    encodeBatch(W, Batch);
-    if (!Persist->appendJournal(JournalSeq + 1, W.data()))
-      return false;
-    ++JournalSeq;
-  }
-  const bool Admit =
-      !Config.ValidateBatches || admit(St, structurallyValid(Batch.Samples));
-  if (Admit != (Fate == RecordedFate::Admitted))
+  // Mirror submit()'s write-ahead: the original journaled this batch
+  // before admission, so a replay that is itself persisted lands on the
+  // same journal sequence (encodeState compares bit-identical). A journal
+  // that cannot take the batch refuses it in submit(), so here it
+  // diverges.
+  if (!journal(Batch))
+    return false;
+  // Same admission and health stamp as submit(): replay re-derives the
+  // health the controller saw, keeping its period schedule bit-identical.
+  if (admit(St, Batch) != (Fate == RecordedFate::Admitted))
     return false; // divergence: the health machine decided differently
-  if (!Admit)
+  if (Fate == RecordedFate::Refused)
     return true;
-  // Same stamp submit() takes: replayed admission re-derives the health
-  // the controller saw, keeping its period schedule bit-identical.
-  Batch.AdmitHealth = St.Health.load(std::memory_order_relaxed);
   if (PushFailed) {
     // Original: push rejected after the door check (queue closed under
     // it). Submitted was pre-counted then uncounted; only the rejection
@@ -661,18 +693,15 @@ bool MonitorService::applyRecorded(SampleBatch Batch, RecordedFate Fate,
     obs::addTo(ObsRejected);
     return true;
   }
-  Submitted.fetch_add(1, std::memory_order_relaxed);
-  obs::addTo(ObsSubmitted);
   if (Dropped) {
     // Evicted by DropOldest before any worker saw it: submitted and
     // dropped, never processed.
+    Submitted.fetch_add(1, std::memory_order_relaxed);
+    obs::addTo(ObsSubmitted);
     Shards[St.Shard]->Queue.countDrop();
     return true;
   }
-  if (WorkerHook)
-    WorkerHook(St.Shard, Batch);
-  process(Batch);
-  Shards[St.Shard]->BatchesProcessed.fetch_add(1, std::memory_order_relaxed);
+  processHere(St, Batch);
   return true;
 }
 
@@ -688,12 +717,7 @@ std::vector<std::uint8_t> MonitorService::encodeState() const {
     // than misinterpreted (different admission decisions, shard routing,
     // or stream registry would desynchronize replay).
     W.u64(Config.Workers);
-    W.u8(static_cast<std::uint8_t>(Config.Policy));
-    W.boolean(Config.ValidateBatches);
-    W.u32(Config.Health.PoisonQuarantineThreshold);
-    W.u64(Config.Health.QuarantineBaseBatches);
-    W.u64(Config.Health.QuarantineMaxBatches);
-    W.u32(Config.Health.RecoveryCleanBatches);
+    writeAdmissionConfig(W, Config);
     // Rejected is deliberately absent: door rejections (post-stop
     // submissions, failed appends) describe the previous process's
     // lifetime, not learned state, and are not replay-reproducible.
@@ -709,24 +733,9 @@ std::vector<std::uint8_t> MonitorService::encodeState() const {
     persist::ByteWriter W;
     W.u32(Id);
     W.u64(St.Shard);
-    W.u64(St.BatchesProcessed.load(std::memory_order_relaxed));
-    W.u64(St.IntervalsProcessed.load(std::memory_order_relaxed));
-    W.u64(St.PhaseChanges.load(std::memory_order_relaxed));
-    W.u64(St.FormationTriggers.load(std::memory_order_relaxed));
-    W.u64(St.RegionsFormed.load(std::memory_order_relaxed));
-    W.u64(St.ActiveRegions.load(std::memory_order_relaxed));
-    W.u64(St.TotalSamples.load(std::memory_order_relaxed));
-    W.u64(St.UcrSamples.load(std::memory_order_relaxed));
-    W.u8(static_cast<std::uint8_t>(St.Health.load(std::memory_order_relaxed)));
-    W.u64(St.PoisonedBatches.load(std::memory_order_relaxed));
-    W.u64(St.QuarantinedBatches.load(std::memory_order_relaxed));
-    W.u64(St.TimesQuarantined.load(std::memory_order_relaxed));
-    W.u64(St.Readmissions.load(std::memory_order_relaxed));
-    W.u64(St.QuarantineEpisodes.load(std::memory_order_relaxed));
-    W.u32(St.ConsecutivePoisoned.load(std::memory_order_relaxed));
-    W.u32(St.CleanStreak.load(std::memory_order_relaxed));
-    W.u64(St.Backoff.load(std::memory_order_relaxed));
-    W.u64(St.QuarantineRejections.load(std::memory_order_relaxed));
+    forEachPersistedCounter(St, [&W](const auto &A) {
+      writeCounter(W, A.load(std::memory_order_relaxed));
+    });
     persist::StateCodec::encode(W, St.Controller);
     persist::StateCodec::encode(W, *St.Monitor);
     Sections.push_back({StreamSectionId, W.take()});
@@ -743,22 +752,16 @@ bool MonitorService::decodeState(
     persist::ByteReader R(Sections.front().Payload);
     const std::uint64_t Seq = R.u64();
     const std::uint64_t Workers = R.u64();
-    const std::uint8_t Policy = R.u8();
-    const bool Validate = R.boolean();
-    const std::uint32_t PoisonThresh = R.u32();
-    const std::uint64_t BackoffBase = R.u64();
-    const std::uint64_t BackoffMax = R.u64();
-    const std::uint32_t CleanBatches = R.u32();
+    persist::ByteWriter Admission;
+    writeAdmissionConfig(Admission, Config);
+    bool SameAdmission = true;
+    for (const std::uint8_t Byte : Admission.data())
+      if (R.u8() != Byte)
+        SameAdmission = false;
     const std::uint64_t Sub = R.u64();
     const std::uint32_t StreamCount = R.u32();
     const std::uint32_t ShardCount = R.u32();
-    if (!R.ok() || Workers != Config.Workers ||
-        Policy != static_cast<std::uint8_t>(Config.Policy) ||
-        Validate != Config.ValidateBatches ||
-        PoisonThresh != Config.Health.PoisonQuarantineThreshold ||
-        BackoffBase != Config.Health.QuarantineBaseBatches ||
-        BackoffMax != Config.Health.QuarantineMaxBatches ||
-        CleanBatches != Config.Health.RecoveryCleanBatches ||
+    if (!R.ok() || Workers != Config.Workers || !SameAdmission ||
         StreamCount != Streams.size() || ShardCount != Shards.size())
       return false;
     for (auto &S : Shards)
@@ -781,45 +784,13 @@ bool MonitorService::decodeState(
     StreamState &St = *Streams[Id];
     if (R.u64() != St.Shard)
       return false;
-    const auto LoadU64 = [&R](std::atomic<std::uint64_t> &A) {
-      A.store(R.u64(), std::memory_order_relaxed);
-    };
-    LoadU64(St.BatchesProcessed);
-    LoadU64(St.IntervalsProcessed);
-    LoadU64(St.PhaseChanges);
-    LoadU64(St.FormationTriggers);
-    LoadU64(St.RegionsFormed);
-    LoadU64(St.ActiveRegions);
-    LoadU64(St.TotalSamples);
-    LoadU64(St.UcrSamples);
-    const std::uint8_t Health = R.u8();
-    if (!R.ok() ||
-        Health > static_cast<std::uint8_t>(StreamHealth::Recovering))
-      return false;
-    St.Health.store(static_cast<StreamHealth>(Health),
-                    std::memory_order_relaxed);
-    LoadU64(St.PoisonedBatches);
-    LoadU64(St.QuarantinedBatches);
-    LoadU64(St.TimesQuarantined);
-    LoadU64(St.Readmissions);
-    LoadU64(St.QuarantineEpisodes);
-    St.ConsecutivePoisoned.store(R.u32(), std::memory_order_relaxed);
-    St.CleanStreak.store(R.u32(), std::memory_order_relaxed);
-    LoadU64(St.Backoff);
-    LoadU64(St.QuarantineRejections);
+    forEachPersistedCounter(St, [&R](auto &A) { readCounter(R, A); });
     // The controller payload carries its own config fingerprint; a
     // snapshot taken under different adaptive tuning (or with desynced
     // dynamic state) fails here and the rung is rejected.
-    if (!persist::StateCodec::decode(R, St.Controller))
+    if (!R.ok() || !persist::StateCodec::decode(R, St.Controller))
       return false;
-    St.PeriodScaleLog2.store(St.Controller.scaleLog2(),
-                             std::memory_order_relaxed);
-    St.SamplesSaved.store(St.Controller.samplesSaved(),
-                          std::memory_order_relaxed);
-    St.CtlLengthens.store(St.Controller.lengthens(),
-                          std::memory_order_relaxed);
-    St.CtlTightens.store(St.Controller.tightens(),
-                         std::memory_order_relaxed);
+    publishController(St);
     if (!persist::StateCodec::decode(R, *St.Monitor) || !R.atEnd())
       return false;
   }
@@ -830,30 +801,13 @@ void MonitorService::resetPersistedState() {
   for (auto &StPtr : Streams) {
     StreamState &St = *StPtr;
     St.Monitor->reset();
-    St.BatchesProcessed.store(0, std::memory_order_relaxed);
-    St.IntervalsProcessed.store(0, std::memory_order_relaxed);
-    St.PhaseChanges.store(0, std::memory_order_relaxed);
-    St.FormationTriggers.store(0, std::memory_order_relaxed);
-    St.RegionsFormed.store(0, std::memory_order_relaxed);
-    St.ActiveRegions.store(0, std::memory_order_relaxed);
-    St.TotalSamples.store(0, std::memory_order_relaxed);
-    St.UcrSamples.store(0, std::memory_order_relaxed);
-    St.Health.store(StreamHealth::Healthy, std::memory_order_relaxed);
-    St.PoisonedBatches.store(0, std::memory_order_relaxed);
-    St.QuarantinedBatches.store(0, std::memory_order_relaxed);
-    St.TimesQuarantined.store(0, std::memory_order_relaxed);
-    St.Readmissions.store(0, std::memory_order_relaxed);
-    St.QuarantineEpisodes.store(0, std::memory_order_relaxed);
-    St.ConsecutivePoisoned.store(0, std::memory_order_relaxed);
-    St.CleanStreak.store(0, std::memory_order_relaxed);
-    St.Backoff.store(0, std::memory_order_relaxed);
-    St.QuarantineRejections.store(0, std::memory_order_relaxed);
+    // Value-initialized: zero counters, Healthy.
+    forEachPersistedCounter(St, [](auto &A) {
+      A.store({}, std::memory_order_relaxed);
+    });
     St.AdmissionClock.store(0, std::memory_order_relaxed);
     St.Controller.reset();
-    St.PeriodScaleLog2.store(0, std::memory_order_relaxed);
-    St.SamplesSaved.store(0, std::memory_order_relaxed);
-    St.CtlLengthens.store(0, std::memory_order_relaxed);
-    St.CtlTightens.store(0, std::memory_order_relaxed);
+    publishController(St);
   }
   for (auto &S : Shards)
     S->BatchesProcessed.store(0, std::memory_order_relaxed);
@@ -875,12 +829,14 @@ MonitorService::replayRecord(std::span<const std::uint8_t> Payload) {
     return persist::RecordVerdict::Unknown;
   StreamState &St = *Streams[Batch.Stream];
   // The record is well-formed; from here on mirror submit()'s accepted
-  // path exactly (health machine, then inline processing standing in for
-  // the shard worker). A batch the health machine refuses was refused in
-  // the original run too -- the refusal *is* the replayed behaviour.
-  if (Config.ValidateBatches && !admit(St, structurallyValid(Batch.Samples)))
+  // path (admission, then inline processing standing in for the shard
+  // worker). A batch the health machine refuses was refused in the
+  // original run too -- the refusal *is* the replayed behaviour.
+  if (!admit(St, Batch))
     return persist::RecordVerdict::Accept;
-  Batch.AdmitHealth = St.Health.load(std::memory_order_relaxed);
+  // Not processHere(): the batch was submitted to the previous process,
+  // so it restores the persisted Submitted count but neither this
+  // process's submitted metric nor its worker hook sees it.
   Submitted.fetch_add(1, std::memory_order_relaxed);
   process(Batch);
   Shards[St.Shard]->BatchesProcessed.fetch_add(1, std::memory_order_relaxed);
@@ -912,6 +868,12 @@ RestoreOutcome MonitorService::restore() {
   const persist::JournalResult JR = Persist->replayAndRepair(
       SnapshotSeq,
       [this](std::uint64_t Seq, std::span<const std::uint8_t> Payload) {
+        // The journal is written without gaps, so a record that does not
+        // continue the loaded state follows records compacted away under
+        // a snapshot that did not load: applying it would silently drop
+        // them. It is refused like any record this service cannot apply.
+        if (Seq != JournalSeq + 1)
+          return persist::RecordVerdict::Unknown;
         const persist::RecordVerdict V = replayRecord(Payload);
         if (V == persist::RecordVerdict::Accept)
           JournalSeq = Seq;

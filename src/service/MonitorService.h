@@ -502,13 +502,32 @@ private:
     std::thread Worker;
   };
 
-  void workerLoop(Shard &S);
-  void process(const SampleBatch &Batch);
-  /// Advances \p St's health machine for one batch whose structural
-  /// validity is \p Valid; returns true when the batch is admitted.
-  bool admit(StreamState &St, bool Valid);
+  // The intake path every entry point shares: submit() journals, admits
+  // and then queues or processes in place; applyRecorded() (trace
+  // replay) takes the same three steps; replayRecord() (journal replay)
+  // admits and processes what the journal already holds.
+
+  /// Appends \p Batch to the write-ahead journal under JournalMutex; a
+  /// no-op without persistence. False when the batch cannot be made
+  /// durable: a failed append latches JournalDead, and a latched journal
+  /// refuses every later batch.
+  bool journal(const SampleBatch &Batch);
+  /// When ValidateBatches, checks \p Batch's structure and advances the
+  /// stream's health machine (see service/StreamHealth.h); an admitted
+  /// batch is stamped with the health the decision left. Returns true
+  /// when the batch is admitted.
+  bool admit(StreamState &St, SampleBatch &Batch);
   /// Puts \p St into quarantine, doubling the backoff per episode.
   void quarantine(StreamState &St);
+  /// Counts an admitted \p Batch submitted and processes it on the
+  /// calling thread as its shard's worker would (hook, process, shard
+  /// count): the Inline mode of submit() and trace replay.
+  void processHere(StreamState &St, const SampleBatch &Batch);
+  void workerLoop(Shard &S);
+  void process(const SampleBatch &Batch);
+  /// Re-publishes \p St's controller outputs through the atomics that
+  /// snapshot() and recommendedPeriodCycles() read.
+  void publishController(StreamState &St);
 
   /// Records \p Batch with \p Fate against the attached recorder (no-op
   /// when none), stamping the assigned sequence into Batch.TraceSeq.

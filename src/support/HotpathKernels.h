@@ -27,14 +27,13 @@
 /// ULP envelope: the conversions double(A - B) and sqrt() round when a
 /// moment difference exceeds 2^53 (DESIGN.md §12 documents the envelope);
 /// the roundings are still deterministic and engine-independent, so the
-/// exported bytes never depend on the engine or kernel selected.
+/// exported bytes never depend on the engine selected.
 ///
-/// Kernel selection is a configure-time choice (-DREGMON_HOTPATH_KERNEL=
-/// auto|scalar). "auto" splits the accumulation across four independent
-/// lanes -- breaking the loop-carried dependency chain so the compiler's
-/// auto-vectorizer can keep the SoA bin arrays streaming -- and "scalar"
-/// is the portable single-accumulator fallback. Integer associativity
-/// makes the two kernels bit-identical; the selection only moves time.
+/// The kernels split the accumulation across four independent lanes --
+/// breaking the loop-carried dependency chain so the compiler's
+/// auto-vectorizer can keep the SoA bin arrays streaming. They are plain
+/// C++, so one kernel serves every platform; integer associativity makes
+/// the lane split bit-identical to a single-accumulator loop.
 ///
 /// REGMON_HOT (support/Contracts.h) tags a function as per-sample /
 /// per-bin hot-path code. The macro expands to nothing; it exists so
@@ -69,24 +68,6 @@ struct HistMoments {
   std::uint64_t Sxy = 0;
 };
 
-/// Returns the configure-time kernel selection ("auto" or "scalar").
-inline const char *hotpathKernelName() {
-#if defined(REGMON_HOTPATH_KERNEL_SCALAR)
-  return "scalar";
-#else
-  return "auto";
-#endif
-}
-
-/// Numeric id of the kernel selection for gauges: 0 = scalar, 1 = auto.
-inline int hotpathKernelId() {
-#if defined(REGMON_HOTPATH_KERNEL_SCALAR)
-  return 0;
-#else
-  return 1;
-#endif
-}
-
 /// Recomputes all five moments of (\p X, \p Y) from scratch -- the oracle
 /// kernel the incremental engine is differentially tested against. Spans
 /// must be equal length.
@@ -96,20 +77,10 @@ recomputeMoments(std::span<const std::uint32_t> X,
   assert(X.size() == Y.size() && "histograms must match");
   HistMoments M;
   const std::size_t E = X.size();
-#if defined(REGMON_HOTPATH_KERNEL_SCALAR)
-  for (std::size_t I = 0; I != E; ++I) {
-    const std::uint64_t Xi = X[I], Yi = Y[I];
-    M.SumX += Xi;
-    M.SumY += Yi;
-    M.Sxx += Xi * Xi;
-    M.Syy += Yi * Yi;
-    M.Sxy += Xi * Yi;
-  }
-#else
   // Four independent accumulator lanes: the loop-carried dependency is per
   // lane, so the vectorizer can turn this into wide integer adds over the
   // flat bin arrays. Folding lanes in fixed order keeps the result equal
-  // to the scalar kernel (unsigned addition is associative).
+  // to a single-accumulator loop (unsigned addition is associative).
   std::uint64_t SumX[4] = {0, 0, 0, 0}, SumY[4] = {0, 0, 0, 0};
   std::uint64_t Sxx[4] = {0, 0, 0, 0}, Syy[4] = {0, 0, 0, 0};
   std::uint64_t Sxy[4] = {0, 0, 0, 0};
@@ -139,7 +110,6 @@ recomputeMoments(std::span<const std::uint32_t> X,
     M.Syy += Syy[L];
     M.Sxy += Sxy[L];
   }
-#endif
   return M;
 }
 
@@ -193,12 +163,6 @@ REGMON_PURE inline double cosineFromMoments(const HistMoments &M) {
 /// the historical sequential double accumulation bit for bit while the
 /// integer loop vectorizes.
 REGMON_HOT inline std::uint64_t pcSum(const Addr *Pcs, std::size_t N) {
-#if defined(REGMON_HOTPATH_KERNEL_SCALAR)
-  std::uint64_t Sum = 0;
-  for (std::size_t I = 0; I != N; ++I)
-    Sum += Pcs[I];
-  return Sum;
-#else
   std::uint64_t Lane[4] = {0, 0, 0, 0};
   std::size_t I = 0;
   for (const std::size_t N4 = N & ~std::size_t{3}; I != N4; I += 4) {
@@ -210,7 +174,6 @@ REGMON_HOT inline std::uint64_t pcSum(const Addr *Pcs, std::size_t N) {
   for (; I != N; ++I)
     Lane[0] += Pcs[I];
   return Lane[0] + Lane[1] + Lane[2] + Lane[3];
-#endif
 }
 
 } // namespace regmon

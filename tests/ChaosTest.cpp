@@ -15,6 +15,8 @@
 #include "faults/FaultPlan.h"
 
 #include "core/RegionMonitor.h"
+#include "obs/EventTracer.h"
+#include "obs/Metrics.h"
 #include "rto/Harness.h"
 #include "rto/TraceDeployments.h"
 #include "sampling/Sampler.h"
@@ -479,6 +481,102 @@ TEST(StreamHealthMachine, HealthIsPerStream) {
   EXPECT_TRUE(Service.submit(validBatch(Fine)));
   EXPECT_EQ(streamSnap(Service, Fine).Health, StreamHealth::Healthy);
   EXPECT_EQ(streamSnap(Service, Fine).PoisonedBatches, 0u);
+}
+
+// Walks every edge of the StreamHealth.h diagram on one stream and pins,
+// after each submit, its result, the health state, the four health
+// counters and every quarantine/recovery event so far -- each event's
+// clock is the stream's admission count (the step number here) and its
+// value the backoff served (quarantine) or the clean streak (recovery).
+TEST(StreamHealthMachine, EveryEdgeWithCountersAndEventClocks) {
+  const RecordedStream S = record("synthetic.steady", 45);
+  ServiceConfig Cfg{/*Workers=*/1, /*QueueCapacity=*/64,
+                    OverflowPolicy::Block, /*ValidateBatches=*/true, {}};
+  Cfg.Health.PoisonQuarantineThreshold = 3;
+  Cfg.Health.QuarantineBaseBatches = 2;
+  Cfg.Health.QuarantineMaxBatches = 8;
+  Cfg.Health.RecoveryCleanBatches = 3;
+  MonitorService Service(Cfg);
+  const StreamId Id = Service.addStream(*S.Map);
+  obs::MetricsRegistry Registry;
+  obs::EventTracer Tracer;
+  Service.attachObservability(Registry, &Tracer);
+
+  using H = StreamHealth;
+  constexpr auto None = obs::EventKind::RegionFormed; // no health event
+  constexpr auto Quar = obs::EventKind::StreamQuarantined;
+  constexpr auto Recov = obs::EventKind::StreamRecovered;
+  struct Step {
+    bool Poisoned;
+    bool Accepted;
+    H Health;
+    std::uint64_t Poison, Quarantined, TimesQuarantined, Readmissions;
+    obs::EventKind Event;
+    double EventValue;
+  };
+  const Step Walk[] = {
+      {false, true, H::Healthy, 0, 0, 0, 0, None, 0},   // Healthy -> Healthy
+      {true, false, H::Degraded, 1, 0, 0, 0, None, 0},  // Healthy -> Degraded
+      {false, true, H::Degraded, 1, 0, 0, 0, None, 0},  // clean streak 1
+      {false, true, H::Degraded, 1, 0, 0, 0, None, 0},  // clean streak 2
+      {false, true, H::Healthy, 1, 0, 0, 0, Recov, 3},  // Degraded -> Healthy
+      {true, false, H::Degraded, 2, 0, 0, 0, None, 0},  // poison run 1
+      {true, false, H::Degraded, 3, 0, 0, 0, None, 0},  // poison run 2
+      {true, false, H::Quarantined, 4, 0, 1, 0, Quar, 2}, // run 3: quarantine
+      {false, false, H::Quarantined, 4, 1, 1, 0, None, 0}, // backoff 1 of 2
+      {true, false, H::Quarantined, 4, 2, 1, 0, None, 0},  // backoff 2 of 2
+      {true, false, H::Quarantined, 5, 2, 2, 1, Quar, 4},  // poisoned probe
+      {false, false, H::Quarantined, 5, 3, 2, 1, None, 0}, // backoff 1 of 4
+      {false, false, H::Quarantined, 5, 4, 2, 1, None, 0},
+      {false, false, H::Quarantined, 5, 5, 2, 1, None, 0},
+      {false, false, H::Quarantined, 5, 6, 2, 1, None, 0}, // backoff 4 of 4
+      {false, true, H::Recovering, 5, 6, 2, 2, None, 0},   // valid probe
+      {false, true, H::Recovering, 5, 6, 2, 2, None, 0},   // clean streak 2
+      {true, false, H::Quarantined, 6, 6, 3, 2, Quar, 8},  // relapse
+      {false, false, H::Quarantined, 6, 7, 3, 2, None, 0}, // backoff 1 of 8
+      {false, false, H::Quarantined, 6, 8, 3, 2, None, 0},
+      {false, false, H::Quarantined, 6, 9, 3, 2, None, 0},
+      {false, false, H::Quarantined, 6, 10, 3, 2, None, 0},
+      {false, false, H::Quarantined, 6, 11, 3, 2, None, 0},
+      {false, false, H::Quarantined, 6, 12, 3, 2, None, 0},
+      {false, false, H::Quarantined, 6, 13, 3, 2, None, 0},
+      {false, false, H::Quarantined, 6, 14, 3, 2, None, 0}, // backoff 8 of 8
+      {false, true, H::Recovering, 6, 14, 3, 3, None, 0},   // valid probe
+      {false, true, H::Recovering, 6, 14, 3, 3, None, 0},   // clean streak 2
+      {false, true, H::Healthy, 6, 14, 3, 3, Recov, 3}, // Recovering -> Healthy
+  };
+
+  const auto healthEvents = [&Tracer] {
+    std::vector<obs::TraceEvent> Out;
+    for (const obs::TraceEvent &E : Tracer.snapshot())
+      if (E.Kind == Quar || E.Kind == Recov)
+        Out.push_back(E);
+    return Out;
+  };
+  std::vector<obs::TraceEvent> Expected;
+  for (std::size_t I = 0; I < std::size(Walk); ++I) {
+    const Step &W = Walk[I];
+    const std::uint64_t Clock = I + 1;
+    EXPECT_EQ(Service.submit(W.Poisoned ? poisonedBatch(Id) : validBatch(Id)),
+              W.Accepted)
+        << "step " << Clock;
+    const StreamSnapshot Snap = streamSnap(Service, Id);
+    EXPECT_EQ(Snap.Health, W.Health) << "step " << Clock;
+    EXPECT_EQ(Snap.PoisonedBatches, W.Poison) << "step " << Clock;
+    EXPECT_EQ(Snap.QuarantinedBatches, W.Quarantined) << "step " << Clock;
+    EXPECT_EQ(Snap.TimesQuarantined, W.TimesQuarantined) << "step " << Clock;
+    EXPECT_EQ(Snap.Readmissions, W.Readmissions) << "step " << Clock;
+    if (W.Event != None)
+      Expected.push_back({W.Event, Id, 0, Clock, W.EventValue});
+    const std::vector<obs::TraceEvent> Got = healthEvents();
+    ASSERT_EQ(Got.size(), Expected.size()) << "step " << Clock;
+    for (std::size_t E = 0; E < Got.size(); ++E) {
+      EXPECT_EQ(Got[E].Kind, Expected[E].Kind) << "step " << Clock;
+      EXPECT_EQ(Got[E].Stream, Expected[E].Stream) << "step " << Clock;
+      EXPECT_EQ(Got[E].Interval, Expected[E].Interval) << "step " << Clock;
+      EXPECT_EQ(Got[E].Value, Expected[E].Value) << "step " << Clock;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,7 +9,6 @@
 #include "core/RegionMonitor.h"
 #include "obs/Export.h"
 #include "obs/Instruments.h"
-#include "support/HotpathKernels.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -317,9 +316,9 @@ TEST(Similarity, MonitorCountsFallbackOnceInRegistryAndTracesIt) {
     EXPECT_EQ(Obs.SimilarityFallbacks->value(), 1u);
     EXPECT_NE(obs::exportTraceText(Tracer).find("kind=similarity-fallback"),
               std::string::npos);
-    // The kernel-selection gauge is published on attach and is a
-    // configure-time constant: engine choice must not leak into it.
-    EXPECT_EQ(Obs.HotpathKernel->value(), double(hotpathKernelId()));
+    // The kernel gauge is published on attach and is a constant (the one
+    // kernel): engine choice must not leak into it.
+    EXPECT_EQ(Obs.HotpathKernel->value(), 1.0);
 
     // The substituted Pearson metric still detects phases, and the
     // interval-end compares are counted identically for both engines.

@@ -497,10 +497,12 @@ TEST(CrashRecovery, SnapshotFuzzEveryOffsetDegradesToJournalReplay) {
 /// journal bytes \p Journal and asserts the journal was refused: nothing
 /// replayed past \p ExpectSeq, the refusal counted, nothing repaired, a
 /// submit refused instead of appended, and the file left byte-identical.
+/// \p CorruptSnapshots is the number of damaged snapshot rungs in \p Dir.
 void expectJournalRefused(const std::vector<RecordedStream> &Fleet,
                           std::size_t Streams, const std::string &Dir,
                           const std::vector<std::uint8_t> &Journal,
-                          std::uint64_t ExpectSeq) {
+                          std::uint64_t ExpectSeq,
+                          std::uint64_t CorruptSnapshots = 0) {
   CheckpointManager Store(Dir);
   MonitorService Service(testConfig());
   for (std::size_t Id = 0; Id < Streams; ++Id)
@@ -509,6 +511,7 @@ void expectJournalRefused(const std::vector<RecordedStream> &Fleet,
   EXPECT_EQ(Service.restore(), ExpectSeq == 0 ? RestoreOutcome::ColdStart
                                               : RestoreOutcome::JournalOnly);
   EXPECT_EQ(Service.persistedSequence(), ExpectSeq);
+  EXPECT_EQ(Store.counters().CorruptSnapshots, CorruptSnapshots);
   EXPECT_EQ(Store.counters().JournalRefusals, 1U);
   EXPECT_EQ(Store.counters().JournalTornTails, 0U);
   EXPECT_EQ(Store.counters().JournalRepairs, 0U);
@@ -519,6 +522,52 @@ void expectJournalRefused(const std::vector<RecordedStream> &Fleet,
   const auto After = persist::readFileBytes(Store.journalPath());
   ASSERT_TRUE(After.has_value());
   EXPECT_EQ(*After, Journal) << "restore modified a journal it refused";
+}
+
+// Both snapshot rungs damaged after the journal was compacted: the
+// surviving records start past the cold state's sequence, so replaying
+// them from cold would report a recovered sequence while silently losing
+// the compacted prefix. The gap is refused like any record restore cannot
+// apply -- journal untouched, later submits refused.
+TEST(CrashRecovery, CompactedJournalIsNotReplayedOntoAColderRung) {
+  const std::vector<RecordedStream> Fleet = smallFleet();
+  std::vector<SampleBatch> Batches = roundRobin(Fleet);
+  ASSERT_GE(Batches.size(), 50U);
+  Batches.resize(50);
+
+  const std::string Dir = scratchDir("compacted_gap");
+  {
+    CheckpointManager Store(Dir);
+    ServiceConfig Cfg = testConfig();
+    Cfg.Inline = true; // checkpoints between submits
+    MonitorService Service(Cfg);
+    for (const RecordedStream &S : Fleet)
+      Service.addStream(*S.Map);
+    Service.attachPersistence(Store);
+    ASSERT_EQ(Service.restore(), RestoreOutcome::ColdStart);
+    Service.start();
+    for (std::size_t I = 0; I < Batches.size(); ++I) {
+      ASSERT_TRUE(Service.submit(Batches[I]));
+      if (I + 1 == 20 || I + 1 == 40) {
+        ASSERT_TRUE(Service.checkpoint());
+      }
+    }
+    Service.stop();
+  }
+  // The second checkpoint compacted the journal through seq 20.
+  for (const char *Name : {"/snapshot.bin", "/snapshot.prev.bin"}) {
+    auto Snap = persist::readFileBytes(Dir + Name);
+    ASSERT_TRUE(Snap.has_value());
+    ASSERT_FALSE(Snap->empty());
+    (*Snap)[Snap->size() / 2] ^= 0x10;
+    persist::FileSink Sink(Dir + Name, /*Append=*/false, nullptr);
+    ASSERT_TRUE(Sink.write(*Snap));
+    ASSERT_TRUE(Sink.close());
+  }
+  const auto Journal = persist::readFileBytes(Dir + "/journal.wal");
+  ASSERT_TRUE(Journal.has_value());
+  expectJournalRefused(Fleet, Fleet.size(), Dir, *Journal, /*ExpectSeq=*/0,
+                       /*CorruptSnapshots=*/2);
 }
 
 // Restoring with fewer streams registered than the journal names must not
